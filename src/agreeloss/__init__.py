@@ -1,165 +1,3 @@
 """Agreement-based loss functions, extremum estimators, and experiments."""
 
-from .exceptions import (
-    AgreelossError,
-    ConvergenceError,
-    CsvFormatError,
-    DegenerateFitWarning,
-    DimensionMismatchError,
-    InvalidInputError,
-    NonDifferentiablePointError,
-    SingularDesignError,
-    UndefinedValueError,
-)
-from .vector_stats import (
-    SummaryStats,
-    as_vector,
-    center,
-    inner,
-    is_constant,
-    lp_mean,
-    lp_norm,
-    mad,
-    mean,
-    pearson,
-    sign,
-    std,
-    summary,
-    variance,
-)
-from .losses import (
-    MetricEntry,
-    MetricReport,
-    SeriesPair,
-    l_kbb,
-    l_lmc,
-    l_lmc_mean,
-    l_lmc_median,
-    l_nr2,
-    l_nrp,
-    l_w,
-    mae,
-    mse,
-    nse,
-    skill_score,
-    v_mean_avg,
-    v_median_avg,
-)
-from .estimators import (
-    ConstantFitResult,
-    LinearFitResult,
-    MinimizeResult,
-    MinimizerConfig,
-    fit_constant_lnr2,
-    fit_constant_lw,
-    fit_linear_lnr2,
-    fit_linear_lw,
-    fit_linear_ols,
-    lnr2_constant_derivative,
-    lnr2_constant_profile,
-    lnr2_constant_second_derivative,
-    lw_constant_derivative,
-    lw_constant_profile,
-    lw_constant_second_derivative,
-    minimize,
-)
-from .simulate import (
-    ExperimentReport,
-    Gamma,
-    Gaussian,
-    Lognormal,
-    Rng,
-    run_climatology_experiment,
-    run_linear_experiment,
-    sample,
-)
-from .hydro import (
-    BucketParams,
-    BucketTrace,
-    CalibrationReport,
-    CalibrationRow,
-    HydroSeries,
-    calibrate,
-    load_csv,
-    run_calibration,
-    simulate_flow,
-    write_csv,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgreelossError",
-    "BucketParams",
-    "BucketTrace",
-    "CalibrationReport",
-    "CalibrationRow",
-    "ConstantFitResult",
-    "ConvergenceError",
-    "CsvFormatError",
-    "DegenerateFitWarning",
-    "DimensionMismatchError",
-    "ExperimentReport",
-    "Gamma",
-    "Gaussian",
-    "HydroSeries",
-    "InvalidInputError",
-    "LinearFitResult",
-    "Lognormal",
-    "MetricEntry",
-    "MetricReport",
-    "MinimizeResult",
-    "MinimizerConfig",
-    "NonDifferentiablePointError",
-    "Rng",
-    "SeriesPair",
-    "SingularDesignError",
-    "SummaryStats",
-    "UndefinedValueError",
-    "as_vector",
-    "calibrate",
-    "center",
-    "fit_constant_lnr2",
-    "fit_constant_lw",
-    "fit_linear_lnr2",
-    "fit_linear_lw",
-    "fit_linear_ols",
-    "inner",
-    "is_constant",
-    "l_kbb",
-    "l_lmc",
-    "l_lmc_mean",
-    "l_lmc_median",
-    "l_nr2",
-    "l_nrp",
-    "l_w",
-    "lnr2_constant_derivative",
-    "lnr2_constant_profile",
-    "lnr2_constant_second_derivative",
-    "load_csv",
-    "lp_mean",
-    "lp_norm",
-    "lw_constant_derivative",
-    "lw_constant_profile",
-    "lw_constant_second_derivative",
-    "mad",
-    "mae",
-    "mean",
-    "minimize",
-    "mse",
-    "nse",
-    "pearson",
-    "run_calibration",
-    "run_climatology_experiment",
-    "run_linear_experiment",
-    "sample",
-    "sign",
-    "simulate_flow",
-    "skill_score",
-    "std",
-    "summary",
-    "v_mean_avg",
-    "v_median_avg",
-    "variance",
-    "write_csv",
-]

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 input error, 2 mathematically undefined request,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -43,7 +42,7 @@ from .exceptions import (
     InvalidInputError,
     UndefinedValueError,
 )
-from .hydro import CALIBRATION_LOSSES, load_csv, run_calibration
+from .hydro import CALIBRATION_LOSSES, load_csv, read_csv, run_calibration
 from .losses import (
     MetricEntry,
     MetricReport,
@@ -73,6 +72,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNDEFINED = 2
 EXIT_NO_CONVERGENCE = 3
+
+# Upper bounds on sizes that set how much is allocated and computed.
+MAX_STEPS = 10**6
+MAX_N_TOTAL = 10**6
 
 
 @dataclass
@@ -109,6 +112,19 @@ def _u64(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     return value
+
+
+def _int_at_most(limit: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
+        return value
+
+    return parse
 
 
 def _float_list(text: str) -> list[float]:
@@ -162,7 +178,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="CSV file with header y")
     p.add_argument("--min", required=True, type=float, dest="theta_min")
     p.add_argument("--max", required=True, type=float, dest="theta_max")
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_int_at_most(MAX_STEPS))
     add_format(p)
     p.set_defaults(handler=cmd_profile)
 
@@ -170,7 +186,7 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=("climatology", "linear"))
     p.add_argument("--seed", required=True, type=_u64, help="RNG seed (required)")
     p.add_argument("--stream-id", type=_u64, default=0)
-    p.add_argument("--n-total", type=int, default=None)
+    p.add_argument("--n-total", type=_int_at_most(MAX_N_TOTAL), default=None)
     p.add_argument("--split", type=int, default=None)
     p.add_argument("--mu", type=float, default=0.0, help="gaussian mean (climatology)")
     p.add_argument("--sigma", type=float, default=1.0, help="gaussian sd (climatology)")
@@ -198,41 +214,6 @@ def _digest(path: str) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _read_table_csv(path: str, expected_header: tuple[str, ...]) -> list[np.ndarray]:
-    """Read a small numeric CSV with an exact expected header."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("row 1: file is empty, expected a header") from None
-        if [h.strip() for h in header] != list(expected_header):
-            raise CsvFormatError(
-                f"row 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        columns: list[list[float]] = [[] for _ in expected_header]
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise CsvFormatError(
-                    f"row {line_no}: expected {len(expected_header)} columns, got {len(row)}"
-                )
-            for i, cell in enumerate(row):
-                cell = cell.strip()
-                if not cell:
-                    raise CsvFormatError(
-                        f"row {line_no}: missing value in column {expected_header[i]}"
-                    )
-                try:
-                    columns[i].append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"row {line_no}: invalid number {cell!r} in column {expected_header[i]}"
-                    ) from None
-    if not columns[0]:
-        raise CsvFormatError("row 2: no data rows found")
-    return [np.array(col) for col in columns]
 
 
 _SIMPLE_METRICS = {
@@ -273,7 +254,7 @@ def _resolve_metric(spec: str):
 
 
 def cmd_metrics(args) -> Output:
-    z, y = _read_table_csv(args.input, ("z", "y"))
+    z, y = read_csv(args.input, ("z", "y"))
     pair = SeriesPair(z, y)
     specs = [s.strip() for s in args.metrics.split(",") if s.strip()]
     if not specs:
@@ -313,7 +294,7 @@ def cmd_metrics(args) -> Output:
 
 
 def cmd_fit_constant(args) -> Output:
-    (y,) = _read_table_csv(args.input, ("y",))
+    (y,) = read_csv(args.input, ("y",))
     fit = fit_constant_lw(y) if args.loss == "lw" else fit_constant_lnr2(y)
     result = {
         "loss": fit.loss_name,
@@ -333,7 +314,7 @@ def cmd_fit_constant(args) -> Output:
 
 
 def cmd_fit_linear(args) -> Output:
-    x, y = _read_table_csv(args.train, ("x", "y"))
+    x, y = read_csv(args.train, ("x", "y"))
     if args.loss == "se":
         fit = fit_linear_ols(x, y)
     elif args.loss == "lnr2":
@@ -358,7 +339,7 @@ def cmd_fit_linear(args) -> Output:
         )
     ]
     if args.test is not None:
-        x_test, y_test = _read_table_csv(args.test, ("x", "y"))
+        x_test, y_test = read_csv(args.test, ("x", "y"))
         pair = SeriesPair(fit.predict(x_test), y_test)
         test_metrics = {
             "mse": mse(pair),
@@ -385,7 +366,7 @@ def cmd_fit_linear(args) -> Output:
 
 
 def cmd_profile(args) -> Output:
-    (y,) = _read_table_csv(args.input, ("y",))
+    (y,) = read_csv(args.input, ("y",))
     if args.steps < 2:
         raise InvalidInputError("profile grid needs at least 2 steps")
     if not args.theta_min < args.theta_max:
@@ -490,11 +471,13 @@ def cmd_calibrate(args) -> Output:
     cal_rows, val_rows, vbar_rows = [], [], []
     for row in report.rows:
         p = row.params
+        cal = row.metrics["calibration"]
+        val = row.metrics["validation"]
         cal_rows.append(
-            [row.loss_name, p.capacity, p.recession, p.split, row.cal_mse, row.cal_lnr2, row.cal_lw]
+            [row.loss_name, p.capacity, p.recession, p.split, cal["mse"], cal["lnr2"], cal["lw"]]
         )
-        val_rows.append([row.loss_name, row.val_mse, row.val_lnr2, row.val_lw])
-        vbar_rows.append([row.loss_name, row.val_vbar_mean])
+        val_rows.append([row.loss_name, val["mse"], val["lnr2"], val["lw"]])
+        vbar_rows.append([row.loss_name, val["vbar_mean"]])
     return Output(
         command="calibrate",
         options={

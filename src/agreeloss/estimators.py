@@ -47,6 +47,7 @@ __all__ = [
     "MinimizeResult",
     "MinimizerConfig",
     "NUMERICAL",
+    "best_of_starts",
     "fit_constant_lnr2",
     "fit_constant_lw",
     "fit_linear_lnr2",
@@ -222,6 +223,24 @@ def minimize(objective, start, config: MinimizerConfig | None = None) -> Minimiz
     return MinimizeResult(
         point=best_x, value=best_f, iterations=total_iters, converged=converged
     )
+
+
+def best_of_starts(results: list[MinimizeResult], config: MinimizerConfig) -> MinimizeResult:
+    """The first lowest-valued of several descents from different starts.
+
+    Raises:
+        ConvergenceError: no descent converged within the iteration budget;
+            the error carries the best iterate found.
+    """
+    best = min(results, key=lambda result: result.value)
+    if not any(result.converged for result in results):
+        raise ConvergenceError(
+            f"simplex minimization did not converge within {config.max_iterations} "
+            "iterations from any start",
+            point=best.point,
+            value=best.value,
+        )
+    return best
 
 
 def _require_nonconstant(y: np.ndarray, what: str = "observations") -> None:
@@ -474,20 +493,9 @@ def fit_linear_lw(x, y, config: MinimizerConfig | None = None) -> LinearFitResul
         nr2 = fit_linear_lnr2(xv, yv)
     starts = [(ols.slope, ols.intercept), (nr2.slope, nr2.intercept)]
 
-    best: MinimizeResult | None = None
-    any_converged = False
-    for start in starts:
-        result = minimize(objective, np.asarray(start, dtype=float), cfg)
-        any_converged = any_converged or result.converged
-        if best is None or result.value < best.value:
-            best = result
-    assert best is not None
-    if not any_converged:
-        raise ConvergenceError(
-            f"simplex minimization did not converge within {cfg.max_iterations} iterations",
-            point=best.point,
-            value=best.value,
-        )
+    best = best_of_starts(
+        [minimize(objective, np.asarray(start, dtype=float), cfg) for start in starts], cfg
+    )
     return LinearFitResult(
         slope=float(best.point[0]),
         intercept=float(best.point[1]),

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MinimizeResult, MinimizerConfig, minimize
+from .estimators import MinimizerConfig, best_of_starts, minimize
 from .exceptions import (
-    ConvergenceError,
     CsvFormatError,
     InvalidInputError,
     UndefinedValueError,
@@ -48,6 +47,7 @@ __all__ = [
     "HydroSeries",
     "calibrate",
     "load_csv",
+    "read_csv",
     "run_calibration",
     "simulate_flow",
     "write_csv",
@@ -55,9 +55,21 @@ __all__ = [
 
 CSV_HEADER = ("date", "precip_mm", "pet_mm", "flow_mm")
 
-CALIBRATION_LOSSES = ("se", "lnr2", "lw")
+# The metric each calibration loss minimizes, by its reported name.
+LOSS_METRICS = {"se": "mse", "lnr2": "lnr2", "lw": "lw"}
 
-_LOSS_FUNCTIONS = {"se": mse, "lnr2": l_nr2, "lw": l_w}
+CALIBRATION_LOSSES = tuple(LOSS_METRICS)
+
+_METRIC_FUNCTIONS = {"mse": mse, "lnr2": l_nr2, "lw": l_w, "vbar_mean": v_mean_avg}
+
+# Metrics reported on each span of a calibrated model.
+SPAN_METRICS = {
+    "calibration": ("mse", "lnr2", "lw"),
+    "validation": ("mse", "lnr2", "lw", "vbar_mean"),
+}
+
+# A column of this name holds text; every other CSV column holds numbers.
+_TEXT_COLUMN = "date"
 
 
 @dataclass(frozen=True)
@@ -238,36 +250,22 @@ DEFAULT_STARTS = (
 
 @dataclass(frozen=True)
 class CalibrationRow:
-    """One calibrated model: fitted parameters plus metrics on both spans."""
+    """One calibrated model: fitted parameters plus metrics on both spans.
+
+    ``metrics`` maps each span (``"calibration"``, ``"validation"``) to
+    its metric values by name, as listed in :data:`SPAN_METRICS`.
+    """
 
     loss_name: str
     params: BucketParams
-    cal_mse: float
-    cal_lnr2: float
-    cal_lw: float
-    val_mse: float
-    val_lnr2: float
-    val_lw: float
-    val_vbar_mean: float
+    metrics: dict[str, dict[str, float]]
     converged: bool
-
-    def cal_value(self, loss_name: str) -> float:
-        return {"se": self.cal_mse, "lnr2": self.cal_lnr2, "lw": self.cal_lw}[loss_name]
-
-    def val_value(self, loss_name: str) -> float:
-        return {"se": self.val_mse, "lnr2": self.val_lnr2, "lw": self.val_lw}[loss_name]
 
     def to_dict(self) -> dict:
         return {
             "loss": self.loss_name,
             "params": self.params.to_dict(),
-            "calibration": {"mse": self.cal_mse, "lnr2": self.cal_lnr2, "lw": self.cal_lw},
-            "validation": {
-                "mse": self.val_mse,
-                "lnr2": self.val_lnr2,
-                "lw": self.val_lw,
-                "vbar_mean": self.val_vbar_mean,
-            },
+            **{span: dict(values) for span, values in self.metrics.items()},
             "converged": self.converged,
         }
 
@@ -320,11 +318,11 @@ def calibrate(
         ConvergenceError: no simplex descent converged; carries the best
             iterate found.
     """
-    if loss not in _LOSS_FUNCTIONS:
+    if loss not in LOSS_METRICS:
         raise InvalidInputError(f"unknown calibration loss {loss!r}")
     cfg = config if config is not None else MinimizerConfig()
     cal, val = _resolve_spans(series, warmup_days, cal_span, val_span)
-    metric = _LOSS_FUNCTIONS[loss]
+    metric = _METRIC_FUNCTIONS[LOSS_METRICS[loss]]
     obs_cal = series.flow[cal]
     if loss != "se" and bool(np.all(obs_cal == obs_cal[0])):
         raise UndefinedValueError(
@@ -346,35 +344,23 @@ def calibrate(
             return math.inf
 
     start_params = tuple(starts) if starts is not None else DEFAULT_STARTS
-    best: MinimizeResult | None = None
-    any_converged = False
-    for p in start_params:
-        result = minimize(objective, _point_from_params(p), cfg)
-        any_converged = any_converged or result.converged
-        if best is None or result.value < best.value:
-            best = result
-    assert best is not None
-    if not any_converged:
-        raise ConvergenceError(
-            f"calibration did not converge within {cfg.max_iterations} iterations",
-            point=best.point,
-            value=best.value,
-        )
+    best = best_of_starts(
+        [minimize(objective, _point_from_params(p), cfg) for p in start_params], cfg
+    )
 
     fitted = _params_from_point(best.point)
     trace = run_bucket(fitted, series.precip, series.pet, fitted.capacity / 2.0)
-    cal_pair = SeriesPair(trace.flow[cal], series.flow[cal])
-    val_pair = SeriesPair(trace.flow[val], series.flow[val])
+    pairs = {
+        "calibration": SeriesPair(trace.flow[cal], series.flow[cal]),
+        "validation": SeriesPair(trace.flow[val], series.flow[val]),
+    }
     return CalibrationRow(
         loss_name=loss,
         params=fitted,
-        cal_mse=mse(cal_pair),
-        cal_lnr2=l_nr2(cal_pair),
-        cal_lw=l_w(cal_pair),
-        val_mse=mse(val_pair),
-        val_lnr2=l_nr2(val_pair),
-        val_lw=l_w(val_pair),
-        val_vbar_mean=v_mean_avg(val_pair),
+        metrics={
+            span: {name: _METRIC_FUNCTIONS[name](pairs[span]) for name in names}
+            for span, names in SPAN_METRICS.items()
+        },
         converged=best.converged,
     )
 
@@ -399,17 +385,21 @@ def run_calibration(
     if not losses:
         raise InvalidInputError("at least one calibration loss is required")
     for name in losses:
-        if name not in _LOSS_FUNCTIONS:
+        if name not in LOSS_METRICS:
             raise InvalidInputError(f"unknown calibration loss {name!r}")
+
+    def cal_score(row: CalibrationRow, name: str) -> float:
+        return row.metrics["calibration"][LOSS_METRICS[name]]
+
     rows = {
         name: calibrate(series, warmup_days, cal_span, val_span, name, config)
         for name in losses
     }
     if len(losses) > 1:
         for name in losses:
-            own = rows[name].cal_value(name)
+            own = cal_score(rows[name], name)
             challengers = sorted(
-                (rows[other].cal_value(name), other)
+                (cal_score(rows[other], name), other)
                 for other in losses
                 if other != name
             )
@@ -424,7 +414,7 @@ def run_calibration(
                     config,
                     starts=(rows[best_other].params, rows[name].params),
                 )
-                if refit.cal_value(name) < own:
+                if cal_score(refit, name) < own:
                     rows[name] = refit
     cal = series.span_slice(cal_span)
     val = series.span_slice(val_span)
@@ -438,73 +428,88 @@ def run_calibration(
     return CalibrationReport(metadata=metadata, rows=tuple(rows[name] for name in losses))
 
 
+def read_csv(path, header: tuple[str, ...]) -> list:
+    """Read a UTF-8 CSV file with an exact header, one list entry per column.
+
+    A column named ``date`` is returned as a list of stripped strings;
+    every other column as a float array, and each of its cells must be a
+    finite number.  Cells must not be empty and the file must hold at least
+    one data row.  Errors name the offending row (the header is row 1).
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found is None:
+            raise CsvFormatError("row 1: file is empty, expected a header")
+        if [h.strip() for h in found] != list(header):
+            raise CsvFormatError(
+                f"row 1: expected header {','.join(header)!r}, got {','.join(found)!r}"
+            )
+        text = [i for i, name in enumerate(header) if name == _TEXT_COLUMN]
+        numbers = [i for i, name in enumerate(header) if name != _TEXT_COLUMN]
+        columns: list = [[] for _ in header]
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"row {line_no}: expected {len(header)} columns, got {len(row)}"
+                )
+            for i in text:
+                cell = row[i].strip()
+                if not cell:
+                    raise _cell_error(line_no, header[i], cell)
+                columns[i].append(cell)
+            for i in numbers:
+                # float() ignores surrounding blanks, as the strip above does.
+                try:
+                    value = float(row[i])
+                except ValueError:
+                    raise _cell_error(line_no, header[i], row[i]) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(f"row {line_no}: non-finite value in column {header[i]}")
+                columns[i].append(value)
+    if not columns[0]:
+        raise CsvFormatError("row 2: no data rows found")
+    for i in numbers:
+        columns[i] = np.array(columns[i])
+    return columns
+
+
+def _cell_error(line_no: int, name: str, cell: str) -> CsvFormatError:
+    cell = cell.strip()
+    if not cell:
+        return CsvFormatError(f"row {line_no}: missing value in column {name}")
+    return CsvFormatError(f"row {line_no}: invalid number {cell!r} in column {name}")
+
+
 def load_csv(path) -> HydroSeries:
     """Read a catchment record from CSV.
 
     Required header (exact): ``date,precip_mm,pet_mm,flow_mm``; dates in
-    ISO-8601 ``YYYY-MM-DD``, values with a decimal point and no thousands
-    separators, UTF-8 encoded.  Parse and validation errors name the
-    offending row (the header is row 1).
+    ISO-8601 ``YYYY-MM-DD``, one day apart, and values non-negative.
+    Parsing follows :func:`read_csv`; every error names the offending row.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    raw_dates, precip, pet, flow = read_csv(path, CSV_HEADER)
+    dates: list[np.datetime64] = []
+    for line_no, raw_date in enumerate(raw_dates, start=2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("row 1: file is empty, expected a header") from None
-        if [h.strip() for h in header] != list(CSV_HEADER):
+            day = _dt.date.fromisoformat(raw_date)
+        except ValueError:
+            raise CsvFormatError(f"row {line_no}: invalid ISO date {raw_date!r}") from None
+        stamp = np.datetime64(day.isoformat(), "D")
+        if dates and stamp - dates[-1] != np.timedelta64(1, "D"):
             raise CsvFormatError(
-                f"row 1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+                f"row {line_no}: date {raw_date} does not follow {dates[-1]} by one day"
             )
-        dates: list[np.datetime64] = []
-        columns: dict[str, list[float]] = {"precip_mm": [], "pet_mm": [], "flow_mm": []}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise CsvFormatError(
-                    f"row {line_no}: expected {len(CSV_HEADER)} columns, got {len(row)}"
-                )
-            raw_date = row[0].strip()
-            try:
-                day = _dt.date.fromisoformat(raw_date)
-            except ValueError:
-                raise CsvFormatError(
-                    f"row {line_no}: invalid ISO date {raw_date!r}"
-                ) from None
-            stamp = np.datetime64(day.isoformat(), "D")
-            if dates:
-                gap = int((stamp - dates[-1]) / np.timedelta64(1, "D"))
-                if gap != 1:
-                    raise CsvFormatError(
-                        f"row {line_no}: date {raw_date} does not follow "
-                        f"{dates[-1]} by one day"
-                    )
-            dates.append(stamp)
-            for name, cell in zip(CSV_HEADER[1:], row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    raise CsvFormatError(f"row {line_no}: missing value in column {name}")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"row {line_no}: invalid number {cell!r} in column {name}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"row {line_no}: non-finite value in column {name}"
-                    )
-                if value < 0.0:
-                    raise CsvFormatError(
-                        f"row {line_no}: negative value {value} in column {name}"
-                    )
-                columns[name].append(value)
-    if not dates:
-        raise CsvFormatError("row 2: no data rows found")
+        dates.append(stamp)
+    values = np.column_stack((precip, pet, flow))
+    negative = np.argwhere(values < 0.0)
+    if negative.size:
+        i, j = negative[0]
+        raise CsvFormatError(
+            f"row {i + 2}: negative value {float(values[i, j])} in column {CSV_HEADER[j + 1]}"
+        )
     return HydroSeries(
-        dates=np.array(dates, dtype="datetime64[D]"),
-        precip=np.array(columns["precip_mm"]),
-        pet=np.array(columns["pet_mm"]),
-        flow=np.array(columns["flow_mm"]),
+        dates=np.array(dates, dtype="datetime64[D]"), precip=precip, pet=pet, flow=flow
     )
 
 

@@ -93,6 +93,14 @@ def _require_agreement_defined(pair: SeriesPair) -> None:
         )
 
 
+# Distance above 1 within which an agreement value is rounding, not a defect.
+_ONE_SNAP = 1e-12
+
+
+def _snap_to_one(value: float) -> float:
+    return 1.0 if 1.0 < value <= 1.0 + _ONE_SNAP else value
+
+
 def _bounded_ratio(num: float, den: float) -> float:
     """Ratio of non-negative terms whose true value lies in [0, 1].
 
@@ -103,10 +111,7 @@ def _bounded_ratio(num: float, den: float) -> float:
     """
     if den == 0.0:
         raise UndefinedValueError("agreement loss denominator is zero")
-    value = num / den
-    if 1.0 < value <= 1.0 + 1e-12:
-        return 1.0
-    return value
+    return _snap_to_one(num / den)
 
 
 def mae(pair: SeriesPair) -> float:
@@ -265,11 +270,6 @@ def is_agreement_metric(name: str) -> bool:
     return name.split(":", 1)[0] in _AGREEMENT_BASES
 
 
-# Slack allowed before an agreement value is declared out of bounds; covers
-# last-ulp rounding at the exact boundaries.
-_BOUND_SLACK = 1e-9
-
-
 @dataclass(frozen=True)
 class MetricEntry:
     """One named metric value; ``value`` is None for undefined requests."""
@@ -283,9 +283,9 @@ class MetricEntry:
 class MetricReport:
     """Ordered metric values with orientation tags.
 
-    Rejects duplicate metric names and out-of-range agreement values;
-    agreement values within rounding slack of the [0, 1] boundary are
-    clamped onto it.
+    Rejects duplicate metric names, non-finite values and agreement values
+    outside [0, 1]; an agreement value within rounding of 1 is snapped
+    onto it, as the losses themselves do.
     """
 
     entries: tuple[MetricEntry, ...]
@@ -298,12 +298,15 @@ class MetricReport:
         cleaned = []
         for e in entries:
             value = e.value
-            if value is not None and is_agreement_metric(e.name):
-                if not (-_BOUND_SLACK <= value <= 1.0 + _BOUND_SLACK):
-                    raise InvalidInputError(
-                        f"agreement metric {e.name} out of [0, 1]: {value}"
-                    )
-                value = min(1.0, max(0.0, value))
+            if value is not None:
+                if not math.isfinite(value):
+                    raise InvalidInputError(f"metric {e.name} is not finite: {value}")
+                if is_agreement_metric(e.name):
+                    value = _snap_to_one(value)
+                    if not 0.0 <= value <= 1.0:
+                        raise InvalidInputError(
+                            f"agreement metric {e.name} out of [0, 1]: {value}"
+                        )
             cleaned.append(MetricEntry(e.name, value, e.orientation))
         object.__setattr__(self, "entries", tuple(cleaned))
 

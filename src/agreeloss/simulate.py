@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import MinimizerConfig, fit_linear_lnr2, fit_linear_lw, fit_linear_ols
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, UndefinedValueError
 from .losses import SeriesPair, l_nr2, l_w, mse, nse, v_mean_avg
-from .vector_stats import mean, std
+from .vector_stats import mean, pearson, std
 
 __all__ = [
     "ExperimentReport",
@@ -377,9 +377,7 @@ def run_linear_experiment(
 
 
 def _safe_corr(x, y) -> float | None:
-    from .vector_stats import pearson
-
     try:
         return pearson(x, y)
-    except Exception:
+    except UndefinedValueError:
         return None

@@ -23,7 +23,7 @@ from agreeloss.estimators import (
     lw_constant_second_derivative,
     minimize,
 )
-from agreeloss.hydro import calibrate, run_calibration
+from agreeloss.hydro import LOSS_METRICS, calibrate, run_calibration
 from agreeloss.losses import SeriesPair, l_kbb, l_nr2, l_nrp, l_w, mse, nse, skill_score
 from agreeloss.simulate import Gaussian, Rng, run_climatology_experiment, run_linear_experiment
 from agreeloss.vector_stats import mad, mean, pearson, std
@@ -205,12 +205,13 @@ def test_criterion_8_hydro_surrogate(ten_year_series, ten_year_noisy_series):
     assert abs(row.params.capacity - TRUTH_PARAMS.capacity) <= 1e-3
     assert abs(row.params.recession - TRUTH_PARAMS.recession) <= 1e-3
     assert abs(row.params.split - TRUTH_PARAMS.split) <= 1e-3
-    assert row.cal_mse < 1e-10
+    assert row.metrics["calibration"]["mse"] < 1e-10
 
     report = run_calibration(ten_year_noisy_series, 365, spans[0], spans[1])
     for loss in ("se", "lnr2", "lw"):
-        own = report.row(loss).cal_value(loss)
-        assert all(own <= other.cal_value(loss) + 1e-15 for other in report.rows)
+        metric = LOSS_METRICS[loss]
+        own = report.row(loss).metrics["calibration"][metric]
+        assert all(own <= other.metrics["calibration"][metric] + 1e-15 for other in report.rows)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"hydro criterion took {elapsed:.2f}s"
     _report(8, "bucket-model recovery and diagonal dominance")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from agreeloss.cli import main
+from agreeloss.cli import MAX_N_TOTAL, MAX_STEPS, main
 from agreeloss.hydro import write_csv
 from conftest import synthetic_series
 
@@ -106,6 +106,26 @@ class TestMetrics:
         code, _, err = run_cli(capsys, "metrics", "--input", str(path), "--metrics", "mse")
         assert code == 1
         assert "row 2" in err
+
+    def test_non_finite_cell_names_row(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("z,y\n1,2\nnan,3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "metrics", "--input", str(path), "--metrics", "mse")
+        assert code == 1
+        assert out == ""
+        assert "row 3" in err
+
+    @pytest.mark.parametrize("metrics", ["mse", "mse,lnr2"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_metric_named(self, tmp_path, capsys, metrics):
+        path = write_pairs(tmp_path, [1e200, -1e200], [-1e200, 1e200])
+        code, out, err = run_cli(
+            capsys, "metrics", "--input", path, "--metrics", metrics, "--format", "json"
+        )
+        assert code == 1
+        assert out == ""
+        assert "metric mse is not finite" in err
+        assert "out of [0, 1]" not in err
 
     def test_unknown_metric_exit_one(self, tmp_path, capsys):
         path = write_pairs(tmp_path, [1.0], [2.0])
@@ -273,6 +293,16 @@ class TestProfile:
         )
         assert code == 1
 
+    def test_too_many_steps_exit_one(self, tmp_path, capsys):
+        path = write_series(tmp_path, [0.0, 2.0])
+        code, out, err = run_cli(
+            capsys, "profile", "--loss", "lw", "--input", path,
+            "--min", "0", "--max", "1", "--steps", str(MAX_STEPS + 1),
+        )
+        assert code == 1
+        assert out == ""
+        assert "--steps" in err
+
     def test_constant_series_exit_two(self, tmp_path, capsys):
         path = write_series(tmp_path, [1.0, 1.0])
         code, _, _ = run_cli(
@@ -298,6 +328,14 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "climatology")
         assert code == 1
         assert "--seed" in err
+
+    def test_too_large_n_total_exit_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "linear", "--seed", "1", "--n-total", str(MAX_N_TOTAL + 1)
+        )
+        assert code == 1
+        assert out == ""
+        assert "--n-total" in err
 
     def test_repeat_runs_byte_identical(self, capsys):
         args = (

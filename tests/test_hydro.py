@@ -12,6 +12,7 @@ from agreeloss.exceptions import (
     InvalidInputError,
 )
 from agreeloss.hydro import (
+    LOSS_METRICS,
     BucketParams,
     HydroSeries,
     calibrate,
@@ -238,7 +239,7 @@ class TestCalibrate:
         assert abs(row.params.capacity - TRUTH_PARAMS.capacity) <= 1e-3
         assert abs(row.params.recession - TRUTH_PARAMS.recession) <= 1e-3
         assert abs(row.params.split - TRUTH_PARAMS.split) <= 1e-3
-        assert row.cal_mse < 1e-10
+        assert row.metrics["calibration"]["mse"] < 1e-10
 
     def test_deterministic(self, short_series):
         a = calibrate(short_series, 90, CAL_SPAN, VAL_SPAN, "lnr2")
@@ -278,11 +279,13 @@ class TestRunCalibration:
         report = run_calibration(short_noisy_series, 90, CAL_SPAN, VAL_SPAN)
         assert [r.loss_name for r in report.rows] == ["se", "lnr2", "lw"]
         for loss in ("se", "lnr2", "lw"):
-            own = report.row(loss).cal_value(loss)
-            assert all(own <= r.cal_value(loss) + 1e-15 for r in report.rows)
+            metric = LOSS_METRICS[loss]
+            own = report.row(loss).metrics["calibration"][metric]
+            assert all(own <= r.metrics["calibration"][metric] + 1e-15 for r in report.rows)
         for r in report.rows:
-            assert 0.0 <= r.cal_lnr2 <= 1.0 and 0.0 <= r.cal_lw <= 1.0
-            assert 0.0 <= r.val_lnr2 <= 1.0 and 0.0 <= r.val_lw <= 1.0
+            cal, val = r.metrics["calibration"], r.metrics["validation"]
+            assert 0.0 <= cal["lnr2"] <= 1.0 and 0.0 <= cal["lw"] <= 1.0
+            assert 0.0 <= val["lnr2"] <= 1.0 and 0.0 <= val["lw"] <= 1.0
 
     def test_single_loss_report(self, short_series):
         report = run_calibration(short_series, 90, CAL_SPAN, VAL_SPAN, losses=("se",))

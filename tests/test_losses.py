@@ -328,6 +328,14 @@ class TestMetricReport:
         with pytest.raises(InvalidInputError):
             MetricReport((MetricEntry("lw", 1.5, NEGATIVELY_ORIENTED),))
 
+    def test_rejects_non_finite_value(self):
+        with pytest.raises(InvalidInputError, match="mse"):
+            MetricReport((MetricEntry("mse", math.inf, NEGATIVELY_ORIENTED),))
+
+    def test_rejects_agreement_value_beyond_snap(self):
+        with pytest.raises(InvalidInputError, match="lw"):
+            MetricReport((MetricEntry("lw", 1.0 + 1e-10, NEGATIVELY_ORIENTED),))
+
     def test_clamps_boundary_rounding(self):
         report = MetricReport((MetricEntry("lw", 1.0 + 1e-12, NEGATIVELY_ORIENTED),))
         assert report.value_of("lw") == 1.0

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from agreeloss.exceptions import InvalidInputError
+from agreeloss.exceptions import DimensionMismatchError, InvalidInputError
 from agreeloss.simulate import (
     ExperimentReport,
     Gamma,
     Gaussian,
     Lognormal,
     Rng,
+    _safe_corr,
     mix64,
     run_climatology_experiment,
     run_linear_experiment,
@@ -247,3 +248,12 @@ class TestLinearExperiment:
     def test_invalid_slope_rejected(self):
         with pytest.raises(InvalidInputError):
             run_linear_experiment(float("nan"), 100, 50, Rng(1))
+
+
+class TestSafeCorr:
+    def test_constant_vector_gives_none(self):
+        assert _safe_corr([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            _safe_corr([1.0, 2.0, 3.0], [1.0, 2.0])
