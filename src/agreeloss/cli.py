@@ -76,6 +76,9 @@ EXIT_NO_CONVERGENCE = 3
 # Upper bounds on sizes that set how much is allocated and computed.
 MAX_STEPS = 10**6
 MAX_N_TOTAL = 10**6
+MAX_SLOPES = 100
+MAX_ITERATIONS = 10**6
+MAX_RESTARTS = 100
 
 
 @dataclass
@@ -129,9 +132,12 @@ def _int_at_most(limit: int):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from None
+    if len(values) > MAX_SLOPES:
+        raise argparse.ArgumentTypeError(f"must list at most {MAX_SLOPES} values, got {len(values)}")
+    return values
 
 
 def _span(text: str):
@@ -200,8 +206,10 @@ def build_parser() -> _Parser:
     p.add_argument("--cal", required=True, type=_span, help="calibration span d1:d2")
     p.add_argument("--val", required=True, type=_span, help="validation span d1:d2")
     p.add_argument("--loss", default=",".join(CALIBRATION_LOSSES), help="comma-separated loss list")
-    p.add_argument("--max-iterations", type=int, default=MinimizerConfig.max_iterations)
-    p.add_argument("--restarts", type=int, default=MinimizerConfig.restarts)
+    p.add_argument(
+        "--max-iterations", type=_int_at_most(MAX_ITERATIONS), default=MinimizerConfig.max_iterations
+    )
+    p.add_argument("--restarts", type=_int_at_most(MAX_RESTARTS), default=MinimizerConfig.restarts)
     add_format(p)
     p.set_defaults(handler=cmd_calibrate)
 
@@ -262,8 +270,11 @@ def cmd_metrics(args) -> Output:
     entries = []
     for spec in specs:
         fn, orientation = _resolve_metric(spec)
+        # An overflowing metric is rejected by name in MetricReport below;
+        # numpy's overflow warning would only repeat that on stderr.
         try:
-            value = fn(pair)
+            with np.errstate(over="ignore"):
+                value = fn(pair)
         except UndefinedValueError:
             value = None
         if args.as_index and value is not None and is_agreement_metric(spec):

@@ -175,32 +175,46 @@ class BucketTrace:
 def run_bucket(
     params: BucketParams, precip: np.ndarray, pet: np.ndarray, initial_store: float
 ) -> BucketTrace:
-    """Run the daily store recurrence over the full forcing record."""
+    """Run the daily store recurrence over the full forcing record.
+
+    The recurrence is causal: running on the first ``k`` days gives the
+    first ``k`` days of the full run, bit for bit.
+    """
     if not (math.isfinite(initial_store) and initial_store >= 0.0):
         raise InvalidInputError("initial_store must be non-negative and finite")
-    n = precip.size
-    flow = np.empty(n)
-    evap_out = np.empty(n)
-    store_out = np.empty(n)
+    precip = np.asarray(precip, dtype=float)
+    pet = np.asarray(pet, dtype=float)
+    if precip.size != pet.size:
+        raise InvalidInputError(
+            f"precip has {precip.size} days but pet has {pet.size}; lengths must match"
+        )
     capacity = params.capacity
     recession = params.recession
     split = params.split
+    keep = 1.0 - split
+    flow, evap_out, store_out = [], [], []
     s = float(initial_store)
-    for i in range(n):
-        p = float(precip[i])
+    # Each branch picks the value min() would, ties and NaN included, so
+    # results equal the min() recurrence in tests/test_hydro.py bit for bit.
+    for p, e in zip(precip.tolist(), pet.tolist()):
         direct = split * p
-        s += (1.0 - split) * p
-        demand = float(pet[i]) * min(1.0, s / capacity)
-        evap = min(demand, s)
+        s += keep * p
+        fill = s / capacity
+        demand = e * fill if fill < 1.0 else e
+        evap = s if s < demand else demand
         s -= evap
-        spill = s - capacity if s > capacity else 0.0
-        s -= spill
+        spill = 0.0
+        if s > capacity:
+            spill = s - capacity
+            s -= spill
         baseflow = recession * s
         s -= baseflow
-        flow[i] = direct + spill + baseflow
-        evap_out[i] = evap
-        store_out[i] = s
-    return BucketTrace(flow=flow, evaporation=evap_out, store=store_out)
+        flow.append(direct + spill + baseflow)
+        evap_out.append(evap)
+        store_out.append(s)
+    return BucketTrace(
+        flow=np.array(flow), evaporation=np.array(evap_out), store=np.array(store_out)
+    )
 
 
 def simulate_flow(params: BucketParams, series: HydroSeries, initial_store: float) -> np.ndarray:
@@ -310,9 +324,12 @@ def calibrate(
 
     The chosen loss (``"se"``, ``"lnr2"`` or ``"lw"``) is evaluated on the
     calibration span only; the warm-up days are simulated but never
-    scored.  Returns the fitted parameters together with MSE and both
-    agreement losses on the calibration and validation spans, plus the
-    mean error on the validation span.
+    scored.  Each descent step simulates from the head of the record
+    through the last calibration day; the fitted model is then run once
+    over the whole record for the validation metrics.  Returns the
+    fitted parameters together with MSE and both agreement losses on the
+    calibration and validation spans, plus the mean error on the
+    validation span.
 
     Raises:
         ConvergenceError: no simplex descent converged; carries the best
@@ -329,12 +346,17 @@ def calibrate(
             "agreement-loss calibration is undefined for constant observed flow"
         )
 
+    # The recurrence is causal: days after the calibration span cannot
+    # change the scored flow, so the descent does not simulate them.
+    precip_cal = series.precip[: cal.stop]
+    pet_cal = series.pet[: cal.stop]
+
     def objective(point: np.ndarray) -> float:
         try:
             params = _params_from_point(point)
         except InvalidInputError:
             return math.inf
-        trace = run_bucket(params, series.precip, series.pet, params.capacity / 2.0)
+        trace = run_bucket(params, precip_cal, pet_cal, params.capacity / 2.0)
         sim = trace.flow[cal]
         if not np.all(np.isfinite(sim)):
             return math.inf

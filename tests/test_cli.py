@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from agreeloss.cli import MAX_N_TOTAL, MAX_STEPS, main
+from agreeloss.cli import (
+    MAX_ITERATIONS,
+    MAX_N_TOTAL,
+    MAX_RESTARTS,
+    MAX_SLOPES,
+    MAX_STEPS,
+    main,
+)
 from agreeloss.hydro import write_csv
 from conftest import synthetic_series
 
@@ -116,7 +123,7 @@ class TestMetrics:
         assert "row 3" in err
 
     @pytest.mark.parametrize("metrics", ["mse", "mse,lnr2"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_metric_named(self, tmp_path, capsys, metrics):
         path = write_pairs(tmp_path, [1e200, -1e200], [-1e200, 1e200])
         code, out, err = run_cli(
@@ -337,6 +344,13 @@ class TestExperiment:
         assert out == ""
         assert "--n-total" in err
 
+    def test_too_many_slopes_exit_one(self, capsys):
+        slopes = ",".join(["1.0"] * (MAX_SLOPES + 1))
+        code, out, err = run_cli(capsys, "experiment", "linear", "--seed", "1", "--a1", slopes)
+        assert code == 1
+        assert out == ""
+        assert "--a1" in err
+
     def test_repeat_runs_byte_identical(self, capsys):
         args = (
             "experiment", "climatology", "--seed", "7",
@@ -426,6 +440,20 @@ class TestCalibrate:
         )
         assert code == 3
         assert "converge" in err
+
+    @pytest.mark.parametrize(
+        "option, value", [("--max-iterations", MAX_ITERATIONS + 1), ("--restarts", MAX_RESTARTS + 1)]
+    )
+    def test_too_large_budget_exit_one(self, data_path, capsys, option, value):
+        code, out, err = run_cli(
+            capsys,
+            "calibrate", "--data", data_path, "--warmup-days", "90",
+            "--cal", "2000-04-01:2001-03-31", "--val", "2001-04-01:2002-01-29",
+            "--loss", "se", option, str(value),
+        )
+        assert code == 1
+        assert out == ""
+        assert option in err
 
 
 class TestFormats:

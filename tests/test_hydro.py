@@ -11,9 +11,11 @@ from agreeloss.exceptions import (
     CsvFormatError,
     InvalidInputError,
 )
+from agreeloss import hydro
 from agreeloss.hydro import (
     LOSS_METRICS,
     BucketParams,
+    BucketTrace,
     HydroSeries,
     calibrate,
     load_csv,
@@ -137,6 +139,115 @@ class TestSimulateFlow:
     def test_negative_initial_store_rejected(self):
         with pytest.raises(InvalidInputError):
             simulate_flow(TRUTH_PARAMS, flat_series(), initial_store=-1.0)
+
+
+def indexed_min_bucket(params, precip, pet, initial_store):
+    """The bucket recurrence in its indexed ``min()`` form, kept as the reference."""
+    n = precip.size
+    flow = np.empty(n)
+    evap_out = np.empty(n)
+    store_out = np.empty(n)
+    capacity = params.capacity
+    recession = params.recession
+    split = params.split
+    s = float(initial_store)
+    for i in range(n):
+        p = float(precip[i])
+        direct = split * p
+        s += (1.0 - split) * p
+        demand = float(pet[i]) * min(1.0, s / capacity)
+        evap = min(demand, s)
+        s -= evap
+        spill = s - capacity if s > capacity else 0.0
+        s -= spill
+        baseflow = recession * s
+        s -= baseflow
+        flow[i] = direct + spill + baseflow
+        evap_out[i] = evap
+        store_out[i] = s
+    return flow, evap_out, store_out
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_same_trace(trace, expected):
+    for name, values in zip(("flow", "evaporation", "store"), expected):
+        assert_same_bits(getattr(trace, name), values)
+
+
+class TestBucketKernel:
+    LENGTHS = (1, 60, 3653)
+
+    @staticmethod
+    def forcing(rng, n):
+        precip = np.where(rng.random(n) < 0.4, rng.exponential(8.0, n), 0.0)
+        return precip, rng.uniform(0.0, 8.0, n)
+
+    def test_matches_indexed_min_recurrence_on_random_parameters(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            params = BucketParams(
+                capacity=float(np.exp(rng.uniform(np.log(0.5), np.log(2000.0)))),
+                recession=float(rng.uniform(1e-4, 1.0 - 1e-4)),
+                split=float(rng.uniform(0.0, 1.0)),
+            )
+            s0 = float(rng.uniform(0.0, 1.5 * params.capacity))
+            for n in self.LENGTHS:
+                precip, pet = self.forcing(rng, n)
+                expected = indexed_min_bucket(params, precip, pet, s0)
+                assert_same_trace(run_bucket(params, precip, pet, s0), expected)
+
+    @pytest.mark.parametrize(
+        "capacity, recession, split, s0, pet_mm",
+        [
+            (50.0, 0.1, 0.3, 400.0, 3.0),  # store starts far above capacity
+            (80.0, 0.2, 0.0, 40.0, 3.0),  # nothing bypasses the store
+            (80.0, 0.2, 1.0, 40.0, 3.0),  # everything bypasses the store
+            (5.0, 0.05, 0.2, 1.0, 500.0),  # demand far above the store
+        ],
+    )
+    def test_matches_indexed_min_recurrence_on_edges(self, capacity, recession, split, s0, pet_mm):
+        params = BucketParams(capacity=capacity, recession=recession, split=split)
+        rng = np.random.default_rng(21)
+        for n in self.LENGTHS:
+            precip, _ = self.forcing(rng, n)
+            pet = np.full(n, pet_mm)
+            expected = indexed_min_bucket(params, precip, pet, s0)
+            assert_same_trace(run_bucket(params, precip, pet, s0), expected)
+
+    def test_matches_indexed_min_recurrence_on_zero_forcing(self):
+        params = BucketParams(capacity=120.0, recession=0.3, split=0.4)
+        for n in self.LENGTHS:
+            zeros = np.zeros(n)
+            for s0 in (0.0, 60.0, 500.0):
+                expected = indexed_min_bucket(params, zeros, zeros, s0)
+                assert_same_trace(run_bucket(params, zeros, zeros, s0), expected)
+
+    def test_prefix_run_equals_head_of_full_run(self):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            params = BucketParams(
+                capacity=float(rng.uniform(20.0, 300.0)),
+                recession=float(rng.uniform(0.01, 0.6)),
+                split=float(rng.uniform(0.0, 1.0)),
+            )
+            precip, pet = self.forcing(rng, 120)
+            full = run_bucket(params, precip, pet, params.capacity / 2.0)
+            for k in range(precip.size + 1):
+                head = run_bucket(params, precip[:k], pet[:k], params.capacity / 2.0)
+                for name in ("flow", "evaporation", "store"):
+                    assert_same_bits(getattr(head, name), getattr(full, name)[:k])
+
+    @pytest.mark.parametrize("n_precip, n_pet", [(10, 9), (9, 10)])
+    def test_unequal_forcing_lengths_rejected(self, n_precip, n_pet):
+        with pytest.raises(InvalidInputError) as excinfo:
+            run_bucket(TRUTH_PARAMS, np.ones(n_precip), np.ones(n_pet), 0.0)
+        assert str(n_precip) in str(excinfo.value)
+        assert str(n_pet) in str(excinfo.value)
 
 
 class TestLoadCsv:
@@ -273,6 +384,36 @@ class TestCalibrate:
         assert excinfo.value.point is not None
         assert math.isfinite(excinfo.value.value)
 
+
+    def test_descent_stops_at_last_calibration_day(self, short_noisy_series, monkeypatch):
+        series = short_noisy_series
+        cal = series.span_slice(CAL_SPAN)
+        lengths = []
+        kernel = hydro.run_bucket
+
+        def recording(params, precip, pet, initial_store):
+            lengths.append(precip.size)
+            return kernel(params, precip, pet, initial_store)
+
+        monkeypatch.setattr(hydro, "run_bucket", recording)
+        calibrate(series, 90, CAL_SPAN, VAL_SPAN, "lnr2")
+        assert cal.stop < series.n
+        assert len(lengths) > 2
+        assert set(lengths[:-1]) == {cal.stop}
+        assert lengths[-1] == series.n
+
+    def test_descent_on_whole_record_gives_same_row(self, short_noisy_series, monkeypatch):
+        series = short_noisy_series
+        row = calibrate(series, 90, CAL_SPAN, VAL_SPAN, "lw")
+        kernel = hydro.run_bucket
+
+        def whole_record(params, precip, pet, initial_store):
+            trace = kernel(params, series.precip, series.pet, initial_store)
+            k = precip.size
+            return BucketTrace(trace.flow[:k], trace.evaporation[:k], trace.store[:k])
+
+        monkeypatch.setattr(hydro, "run_bucket", whole_record)
+        assert calibrate(series, 90, CAL_SPAN, VAL_SPAN, "lw") == row
 
 class TestRunCalibration:
     def test_diagonal_dominance_and_shape(self, short_noisy_series):
