@@ -135,8 +135,8 @@ def _float_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from None
-    if len(values) > MAX_SLOPES:
-        raise argparse.ArgumentTypeError(f"must list at most {MAX_SLOPES} values, got {len(values)}")
+    if not 1 <= len(values) <= MAX_SLOPES:
+        raise argparse.ArgumentTypeError(f"must list at least one value and at most {MAX_SLOPES}")
     return values
 
 

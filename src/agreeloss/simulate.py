@@ -19,10 +19,11 @@ reproduce every experiment):
   the Box-Muller cosine branch ``sqrt(-2 ln u1) * cos(2 pi u2)`` (the sine
   branch is discarded);
 * a lognormal draw is ``exp(mu + sigma * gaussian)``;
-* gamma draws use Marsaglia-Tsang squeeze rejection for shape >= 1 (one
-  Gaussian then one uniform per proposal); for shape < 1 the draw is
-  ``gamma(shape + 1)`` first, then one boost uniform ``u``, returning
-  ``gamma * u**(1/shape)``.
+* gamma draws use Marsaglia-Tsang squeeze rejection for shape >= 1: a
+  proposal takes one Gaussian ``x``, then one uniform unless ``1 + c x <= 0``
+  rejects it first; for shape < 1 the draw is ``gamma(shape + 1)``, then
+  one boost uniform ``u``, returning ``gamma * u**(1/shape)``.  Uniforms
+  are drawn in blocks but consumed in exactly this sequence.
 
 All experiment outputs are pure functions of ``(seed, stream_id,
 parameters)``: two runs with identical inputs produce bit-identical
@@ -31,7 +32,6 @@ reports.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -108,50 +108,31 @@ class Rng:
         radius = np.sqrt(-2.0 * np.log(u[0::2]))
         return radius * np.cos(2.0 * math.pi * u[1::2])
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
-    def gamma(self, shape: float, scale: float) -> float:
-        """One gamma draw by Marsaglia-Tsang squeeze rejection."""
-        if shape <= 0.0 or scale <= 0.0:
-            raise InvalidInputError("gamma shape and scale must be positive")
-        if shape < 1.0:
-            value = self._gamma_shape_ge_1(shape + 1.0)
-            boost = self.uniform() ** (1.0 / shape)
-            return scale * value * boost
-        return scale * self._gamma_shape_ge_1(shape)
-
-    def _gamma_shape_ge_1(self, shape: float) -> float:
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.normal()
-            t = 1.0 + c * x
-            if t <= 0.0:
-                continue
-            v = t * t * t
-            u = self.uniform()
-            x2 = x * x
-            if u < 1.0 - 0.0331 * x2 * x2:
-                return d * v
-            if math.log(u) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
-                return d * v
-
 
 @dataclass(frozen=True)
-class Gaussian:
+class _LocationScale:
+    """A distribution family with a finite location mu and finite scale sigma > 0."""
+
     mu: float
     sigma: float
 
     def __post_init__(self):
+        for name, value in (("mu", self.mu), ("sigma", self.sigma)):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{self.kind} {name} must be finite, got {value!r}")
         if not self.sigma > 0.0:
-            raise InvalidInputError("gaussian sigma must be positive")
+            raise InvalidInputError(f"{self.kind} sigma must be positive")
 
     def describe(self) -> dict:
-        return {"kind": "gaussian", "mu": self.mu, "sigma": self.sigma}
+        return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
+
+
+class Gaussian(_LocationScale):
+    kind = "gaussian"
+
+
+class Lognormal(_LocationScale):
+    kind = "lognormal"
 
 
 @dataclass(frozen=True)
@@ -169,19 +150,6 @@ class Gamma:
         return {"kind": "gamma", "scale": self.scale, "shape": self.shape}
 
 
-@dataclass(frozen=True)
-class Lognormal:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise InvalidInputError("lognormal sigma must be positive")
-
-    def describe(self) -> dict:
-        return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
-
-
 DistributionSpec = Gaussian | Gamma | Lognormal
 
 
@@ -189,18 +157,64 @@ def sample(spec: DistributionSpec, n: int, rng: Rng) -> np.ndarray:
     """Draw *n* IID variates from *spec* using *rng*."""
     if n < 1:
         raise InvalidInputError("sample size must be at least 1")
-    if isinstance(spec, Gaussian):
-        return spec.mu + spec.sigma * rng.normals(n)
-    if isinstance(spec, Lognormal):
-        return np.exp(spec.mu + spec.sigma * rng.normals(n))
-    if isinstance(spec, Gamma):
-        return np.array([rng.gamma(spec.shape, spec.scale) for _ in range(n)])
-    raise InvalidInputError(f"unsupported distribution spec: {spec!r}")
+    with np.errstate(over="ignore"):
+        if isinstance(spec, Gaussian):
+            draws = spec.mu + spec.sigma * rng.normals(n)
+        elif isinstance(spec, Lognormal):
+            draws = np.exp(spec.mu + spec.sigma * rng.normals(n))
+        elif isinstance(spec, Gamma):
+            draws = _gammas(spec, n, rng)
+        else:
+            raise InvalidInputError(f"unsupported distribution spec: {spec!r}")
+    if not np.isfinite(draws).all():
+        raise InvalidInputError(f"draws from {spec!r} overflow")
+    return draws
+
+
+def _gammas(spec: Gamma, n: int, rng: Rng) -> np.ndarray:
+    """*n* Marsaglia-Tsang gamma draws, taking exactly the specified uniforms.
+
+    Every draw still owed takes at least ``least`` uniforms, so a block of
+    ``least * owed`` never holds one that goes unused; a proposal the block
+    cannot finish is carried into the next.  Box-Muller on every adjacent
+    pair, with ``Rng.normals``' expression, lets a Gaussian start anywhere.
+    """
+    shape, scale = spec.shape, spec.scale
+    boosted = shape < 1.0
+    d = (shape + 1.0 if boosted else shape) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    least = 4 if boosted else 3  # two for the normal, one squeeze, one boost
+    out: list[float] = []
+    tail = np.empty(0)
+    while len(out) < n:
+        u = np.concatenate((tail, rng.uniforms(least * (n - len(out)) - tail.size)))
+        gauss = (np.sqrt(-2.0 * np.log(u[:-1])) * np.cos(2.0 * math.pi * u[1:])).tolist()
+        uniforms = u.tolist()
+        i = 0  # first uniform of the current proposal
+        while i + 1 < len(uniforms):
+            x = gauss[i]
+            t = 1.0 + c * x
+            if t <= 0.0:
+                i += 2
+                continue
+            if i + least > len(uniforms):
+                break
+            v = t * t * t
+            w = uniforms[i + 2]
+            x2 = x * x
+            if w < 1.0 - 0.0331 * x2 * x2 or math.log(w) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
+                value = scale * (d * v)
+                out.append(value * uniforms[i + 3] ** (1.0 / shape) if boosted else value)
+                i += least
+            else:
+                i += 3
+        tail = u[i:]
+    return np.array(out)
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-model metric rows plus run metadata; serializes to JSON and CSV."""
+    """Per-model metric rows plus run metadata; ``cli.render`` formats them."""
 
     metadata: dict
     columns: tuple[str, ...]
@@ -220,21 +234,6 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {"metadata": dict(self.metadata), "models": [dict(m) for m in self.models]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.models:
-            lines.append(",".join(_csv_cell(row[c]) for c in self.columns))
-        return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _split_counts(n_total: int, split: int) -> None:

@@ -351,6 +351,29 @@ class TestExperiment:
         assert out == ""
         assert "--a1" in err
 
+    def test_empty_slope_list_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "linear", "--seed", "1", "--a1", ",")
+        assert code == 1
+        assert out == ""
+        assert "--a1: must list at least one value" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("--mu", "nan"), "gaussian mu must be finite"),
+            (("--mu", "inf"), "gaussian mu must be finite"),
+            (("--sigma", "inf"), "gaussian sigma must be finite"),
+            (("--mu", "1e308", "--sigma", "1e308"), "draws from Gaussian(mu=1e+308, sigma=1e+308)"),
+        ],
+    )
+    def test_gaussian_parameter_named(self, capsys, params, message):
+        code, out, err = run_cli(capsys, "experiment", "climatology", "--seed", "1", *params)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("agreeloss: error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_repeat_runs_byte_identical(self, capsys):
         args = (
             "experiment", "climatology", "--seed", "7",
