@@ -360,13 +360,7 @@ def cmd_fit_linear(args) -> Output:
         }
         result["test"] = dict(test_metrics, n=int(x_test.size))
         inputs[args.test] = _digest(args.test)
-        tables.append(
-            Table(
-                "test",
-                ["mse", "lnr2", "lw", "vbar_mean"],
-                [[test_metrics["mse"], test_metrics["lnr2"], test_metrics["lw"], test_metrics["vbar_mean"]]],
-            )
-        )
+        tables.append(Table("test", list(test_metrics), [list(test_metrics.values())]))
     return Output(
         command="fit-linear",
         options={"loss": args.loss, "train": args.train, "test": args.test},
@@ -421,6 +415,9 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+# Values that overflow are rejected by name (simulate.py); numpy's
+# overflow warnings would only repeat that on stderr.
+@np.errstate(over="ignore")
 def cmd_experiment(args) -> Output:
     defaults = _EXPERIMENT_DEFAULTS[args.kind]
     n_total = args.n_total if args.n_total is not None else defaults["n_total"]
@@ -514,24 +511,18 @@ def cmd_calibrate(args) -> Output:
     )
 
 
-def _cell_csv(value) -> str:
+def _cell(value, float_text) -> str:
+    """One output cell as text; *float_text* renders floats."""
     if value is None:
         return "undefined"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float_text(value)
     return str(value)
 
 
-def _cell_table(value) -> str:
-    if value is None:
-        return "undefined"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+_TABLE_FLOAT = "{:.10g}".format
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -562,21 +553,21 @@ def render(output: Output, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         for key, value in meta.items():
-            buf.write(f"# {key}={_cell_csv(value)}\n")
+            buf.write(f"# {key}={_cell(value, repr)}\n")
         for table in output.tables:
             if len(output.tables) > 1:
                 buf.write(f"# table={table.name}\n")
             buf.write(",".join(table.columns) + "\n")
             for row in table.rows:
-                buf.write(",".join(_cell_csv(v) for v in row) + "\n")
+                buf.write(",".join(_cell(v, repr) for v in row) + "\n")
         return buf.getvalue()
     # Plain-text tables.
     buf = io.StringIO()
     for key, value in meta.items():
-        buf.write(f"{key}: {_cell_table(value)}\n")
+        buf.write(f"{key}: {_cell(value, _TABLE_FLOAT)}\n")
     for table in output.tables:
         buf.write(f"\n[{table.name}]\n")
-        cells = [[_cell_table(v) for v in row] for row in table.rows]
+        cells = [[_cell(v, _TABLE_FLOAT) for v in row] for row in table.rows]
         widths = [
             max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
             for i, col in enumerate(table.columns)

@@ -37,7 +37,7 @@ from .exceptions import (
     SingularDesignError,
     UndefinedValueError,
 )
-from .losses import SeriesPair, l_w
+from .losses import _l_w
 from .vector_stats import as_vector, is_constant, mad, mean, pearson, sign, std
 
 __all__ = [
@@ -248,16 +248,26 @@ def _require_nonconstant(y: np.ndarray, what: str = "observations") -> None:
         raise UndefinedValueError(f"{what} must be non-constant")
 
 
+def _centre_and_spread(y) -> tuple[np.ndarray, float, float]:
+    """Validated non-constant observations, their mean and their std."""
+    arr = as_vector(y)
+    _require_nonconstant(arr)
+    return arr, mean(arr), std(arr)
+
+
+def _kink(what: str, left: float, right: float) -> NonDifferentiablePointError:
+    return NonDifferentiablePointError(
+        f"{what} does not exist at theta = mean(y)", left_limit=left, right_limit=right
+    )
+
+
 def fit_constant_lw(y) -> ConstantFitResult:
     """Constant fit under the element-wise agreement loss.
 
     Minimizers are ``mean(y) +/- std(y)``; the minimum equals
     ``std/(std + mad)``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    arr, mu, sd = _centre_and_spread(y)
     md = mad(arr)
     return ConstantFitResult(
         theta_plus=mu + sd,
@@ -269,10 +279,7 @@ def fit_constant_lw(y) -> ConstantFitResult:
 
 def fit_constant_lnr2(y) -> ConstantFitResult:
     """Constant fit under the norm-ratio loss; the minimum is exactly 1/2."""
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    _, mu, sd = _centre_and_spread(y)
     return ConstantFitResult(
         theta_plus=mu + sd,
         theta_minus=mu - sd,
@@ -287,10 +294,9 @@ def lw_constant_profile(theta: float, y) -> float:
     ``(u^2 + sd^2) / (u^2 + sd^2 + 2|u| mad)`` with ``u = theta - mean(y)``.
     Equals 1 at ``theta = mean(y)`` and tends to 1 as ``theta -> +/-inf``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    u = float(theta) - mean(arr)
-    sd2 = std(arr) ** 2
+    arr, mu, sd = _centre_and_spread(y)
+    u = float(theta) - mu
+    sd2 = sd**2
     return (u * u + sd2) / (u * u + sd2 + 2.0 * abs(u) * mad(arr))
 
 
@@ -299,10 +305,8 @@ def lnr2_constant_profile(theta: float, y) -> float:
 
     ``(u^2 + sd^2) / (|u| + sd)^2`` with ``u = theta - mean(y)``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    u = float(theta) - mean(arr)
-    sd = std(arr)
+    _, mu, sd = _centre_and_spread(y)
+    u = float(theta) - mu
     return (u * u + sd * sd) / (abs(u) + sd) ** 2
 
 
@@ -312,19 +316,12 @@ def lw_constant_derivative(theta: float, y) -> float:
     Undefined at the kink ``theta = mean(y)``; the raised error carries the
     one-sided limits ``+/- 2 mad / sd^2``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    arr, mu, sd = _centre_and_spread(y)
     md = mad(arr)
     u = float(theta) - mu
     if u == 0.0:
         limit = 2.0 * md / (sd * sd)
-        raise NonDifferentiablePointError(
-            "derivative does not exist at theta = mean(y)",
-            left_limit=limit,
-            right_limit=-limit,
-        )
+        raise _kink("derivative", limit, -limit)
     num = 2.0 * md * (u * u - sd * sd) * sign(u)
     den = (u * u + sd * sd + 2.0 * abs(u) * md) ** 2
     return num / den
@@ -332,19 +329,12 @@ def lw_constant_derivative(theta: float, y) -> float:
 
 def lw_constant_second_derivative(theta: float, y) -> float:
     """Second derivative of :func:`lw_constant_profile` away from the kink."""
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    arr, mu, sd = _centre_and_spread(y)
     md = mad(arr)
     u = float(theta) - mu
     if u == 0.0:
         limit = 8.0 * md * md / sd**4
-        raise NonDifferentiablePointError(
-            "second derivative does not exist at theta = mean(y)",
-            left_limit=limit,
-            right_limit=limit,
-        )
+        raise _kink("second derivative", limit, limit)
     sd2 = sd * sd
     num = 4.0 * md * (2.0 * md * sd2 + u * (3.0 * sd2 - u * u) * sign(u))
     den = (u * u + sd2 + 2.0 * abs(u) * md) ** 3
@@ -357,17 +347,10 @@ def lnr2_constant_derivative(theta: float, y) -> float:
     Undefined at the kink; the raised error carries the one-sided limits
     ``+/- 2 / sd``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    _, mu, sd = _centre_and_spread(y)
     u = float(theta) - mu
     if u == 0.0:
-        raise NonDifferentiablePointError(
-            "derivative does not exist at theta = mean(y)",
-            left_limit=2.0 / sd,
-            right_limit=-2.0 / sd,
-        )
+        raise _kink("derivative", 2.0 / sd, -2.0 / sd)
     return 2.0 * sd * (u - sign(u) * sd) / (sd + abs(u)) ** 3
 
 
@@ -376,18 +359,11 @@ def lnr2_constant_second_derivative(theta: float, y) -> float:
 
     Equals ``1/(4 sd^2)`` at the minimizers ``mean(y) +/- std(y)``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    _, mu, sd = _centre_and_spread(y)
     u = float(theta) - mu
     if u == 0.0:
         limit = 8.0 / (sd * sd)
-        raise NonDifferentiablePointError(
-            "second derivative does not exist at theta = mean(y)",
-            left_limit=limit,
-            right_limit=limit,
-        )
+        raise _kink("second derivative", limit, limit)
     return 4.0 * sd * (2.0 * sd - abs(u)) / (sd + abs(u)) ** 4
 
 
@@ -483,9 +459,10 @@ def fit_linear_lw(x, y, config: MinimizerConfig | None = None) -> LinearFitResul
 
     def objective(theta: np.ndarray) -> float:
         z = theta[0] * xv + theta[1]
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             return math.inf
-        return l_w(SeriesPair(z, yv))
+        # yv is validated and non-constant, so l_w is defined on every z.
+        return _l_w(z, yv)
 
     ols = fit_linear_ols(xv, yv)
     with warnings.catch_warnings():

@@ -37,7 +37,7 @@ from .exceptions import (
     InvalidInputError,
     UndefinedValueError,
 )
-from .losses import SeriesPair, l_nr2, l_w, mse, v_mean_avg
+from .losses import SeriesPair, _l_nr2, _l_w, _mse, l_nr2, l_w, mse, v_mean_avg
 
 __all__ = [
     "BucketParams",
@@ -49,7 +49,6 @@ __all__ = [
     "load_csv",
     "read_csv",
     "run_calibration",
-    "simulate_flow",
     "write_csv",
 ]
 
@@ -61,6 +60,10 @@ LOSS_METRICS = {"se": "mse", "lnr2": "lnr2", "lw": "lw"}
 CALIBRATION_LOSSES = tuple(LOSS_METRICS)
 
 _METRIC_FUNCTIONS = {"mse": mse, "lnr2": l_nr2, "lw": l_w, "vbar_mean": v_mean_avg}
+
+# Array kernels of the minimized metrics, for a descent whose observed
+# span was validated once.
+_METRIC_KERNELS = {"mse": _mse, "lnr2": _l_nr2, "lw": _l_w}
 
 # Metrics reported on each span of a calibrated model.
 SPAN_METRICS = {
@@ -165,11 +168,17 @@ def _as_day(value) -> np.datetime64:
 
 @dataclass(frozen=True)
 class BucketTrace:
-    """Full simulation record: flow, actual evaporation and end-of-day store."""
+    """Daily simulated flow plus the run's water-balance terms.
+
+    ``total_evaporation`` is the actual evaporation summed day by day and
+    ``final_store`` the store at the end of the last day, so that total
+    precipitation equals ``flow.sum() + total_evaporation + final_store -
+    initial_store`` up to rounding.
+    """
 
     flow: np.ndarray
-    evaporation: np.ndarray
-    store: np.ndarray
+    total_evaporation: float
+    final_store: float
 
 
 def run_bucket(
@@ -178,7 +187,8 @@ def run_bucket(
     """Run the daily store recurrence over the full forcing record.
 
     The recurrence is causal: running on the first ``k`` days gives the
-    first ``k`` days of the full run, bit for bit.
+    first ``k`` days of the full run, bit for bit, and its ``final_store``
+    is the store at the end of day ``k``.
     """
     if not (math.isfinite(initial_store) and initial_store >= 0.0):
         raise InvalidInputError("initial_store must be non-negative and finite")
@@ -192,7 +202,8 @@ def run_bucket(
     recession = params.recession
     split = params.split
     keep = 1.0 - split
-    flow, evap_out, store_out = [], [], []
+    flow = []
+    total_evap = 0.0
     s = float(initial_store)
     # Each branch picks the value min() would, ties and NaN included, so
     # results equal the min() recurrence in tests/test_hydro.py bit for bit.
@@ -203,6 +214,7 @@ def run_bucket(
         demand = e * fill if fill < 1.0 else e
         evap = s if s < demand else demand
         s -= evap
+        total_evap += evap
         spill = 0.0
         if s > capacity:
             spill = s - capacity
@@ -210,16 +222,7 @@ def run_bucket(
         baseflow = recession * s
         s -= baseflow
         flow.append(direct + spill + baseflow)
-        evap_out.append(evap)
-        store_out.append(s)
-    return BucketTrace(
-        flow=np.array(flow), evaporation=np.array(evap_out), store=np.array(store_out)
-    )
-
-
-def simulate_flow(params: BucketParams, series: HydroSeries, initial_store: float) -> np.ndarray:
-    """Simulated daily flow for the whole series."""
-    return run_bucket(params, series.precip, series.pet, initial_store).flow
+    return BucketTrace(flow=np.array(flow), total_evaporation=total_evap, final_store=s)
 
 
 # Unconstrained parametrization used by the minimizer.
@@ -339,7 +342,9 @@ def calibrate(
         raise InvalidInputError(f"unknown calibration loss {loss!r}")
     cfg = config if config is not None else MinimizerConfig()
     cal, val = _resolve_spans(series, warmup_days, cal_span, val_span)
-    metric = _METRIC_FUNCTIONS[LOSS_METRICS[loss]]
+    kernel = _METRIC_KERNELS[LOSS_METRICS[loss]]
+    # HydroSeries guarantees finite flows; a non-constant observed span
+    # keeps every agreement loss defined, so the descent skips SeriesPair.
     obs_cal = series.flow[cal]
     if loss != "se" and bool(np.all(obs_cal == obs_cal[0])):
         raise UndefinedValueError(
@@ -356,12 +361,11 @@ def calibrate(
             params = _params_from_point(point)
         except InvalidInputError:
             return math.inf
-        trace = run_bucket(params, precip_cal, pet_cal, params.capacity / 2.0)
-        sim = trace.flow[cal]
-        if not np.all(np.isfinite(sim)):
+        sim = run_bucket(params, precip_cal, pet_cal, params.capacity / 2.0).flow[cal]
+        if not np.isfinite(sim).all():
             return math.inf
         try:
-            return metric(SeriesPair(sim, obs_cal))
+            return kernel(sim, obs_cal)
         except UndefinedValueError:
             return math.inf
 

@@ -72,8 +72,9 @@ class SeriesPair:
             )
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "y_nonconstant", bool(np.any(y != y[0])))
-        object.__setattr__(self, "z_differs", bool(np.any(z != y)))
+        # count_nonzero skips the dispatch cost of any() on short vectors.
+        object.__setattr__(self, "y_nonconstant", np.count_nonzero(y != y[0]) > 0)
+        object.__setattr__(self, "z_differs", np.count_nonzero(z != y) > 0)
 
     @property
     def n(self) -> int:
@@ -111,7 +112,48 @@ def _bounded_ratio(num: float, den: float) -> float:
     """
     if den == 0.0:
         raise UndefinedValueError("agreement loss denominator is zero")
+    if den == math.inf and num != 0.0:
+        # The denominator overflowed, so the ratio is unknown; NaN lets
+        # callers reject it by name instead of reporting a spurious 0.
+        return math.nan
     return _snap_to_one(num / den)
+
+
+def _power(base: float, p: float) -> float:
+    """``base ** p`` for ``base >= 0``; inf where Python raises OverflowError."""
+    try:
+        return base**p
+    except OverflowError:
+        return math.inf
+
+
+# Array kernels of the losses that the descents minimize.  They take
+# validated, equal-length float vectors and skip the SeriesPair checks.
+# np.add.reduce is the reduction behind np.sum and np.mean, without their
+# dispatch, so the kernels keep those formulas' results bit for bit.
+_add = np.add.reduce
+
+
+def _ssq(v: np.ndarray) -> float:
+    """Sum of squares."""
+    return float(_add(np.square(v)))
+
+
+def _mse(z: np.ndarray, y: np.ndarray) -> float:
+    return _ssq(z - y) / z.size
+
+
+def _l_w(z: np.ndarray, y: np.ndarray) -> float:
+    mu = float(_add(y)) / y.size
+    path = np.abs(z - mu)
+    path += np.abs(mu - y)
+    return _bounded_ratio(_ssq(z - y), _ssq(path))
+
+
+def _l_nr2(z: np.ndarray, y: np.ndarray) -> float:
+    mu = float(_add(y)) / y.size
+    den = _power(math.sqrt(_ssq(z - mu)) + math.sqrt(_ssq(mu - y)), 2)
+    return _bounded_ratio(_ssq(z - y), den)
 
 
 def mae(pair: SeriesPair) -> float:
@@ -121,21 +163,24 @@ def mae(pair: SeriesPair) -> float:
 
 def mse(pair: SeriesPair) -> float:
     """Mean squared error."""
-    d = pair.z - pair.y
-    return float(np.mean(d * d))
+    return _mse(pair.z, pair.y)
 
 
 def nse(pair: SeriesPair) -> float:
     """Nash-Sutcliffe efficiency: 1 - MSE(z, y) / MSE(mean(y), y).
 
     Positively oriented, at most 1; zero for the mean-climatology
-    prediction.  Undefined when the observations are constant.
+    prediction.  Undefined when the observations are constant or their
+    variance underflows to zero.
     """
     if not pair.y_nonconstant:
         raise UndefinedValueError(
             "NSE reference is undefined for constant observations"
         )
-    return 1.0 - mse(pair) / variance(pair.y)
+    reference = variance(pair.y)
+    if reference == 0.0:
+        raise UndefinedValueError("NSE reference variance underflows to zero")
+    return 1.0 - mse(pair) / reference
 
 
 def skill_score(loss_avg_z: float, loss_avg_ref: float) -> float:
@@ -160,10 +205,7 @@ def l_w(pair: SeriesPair) -> float:
     Zero exactly when ``z == y`` with non-constant ``y``.
     """
     _require_agreement_defined(pair)
-    mu = float(np.mean(pair.y))
-    d = pair.z - pair.y
-    path = np.abs(pair.z - mu) + np.abs(mu - pair.y)
-    return _bounded_ratio(float(np.sum(d * d)), float(np.sum(path * path)))
+    return _l_w(pair.z, pair.y)
 
 
 def l_nr2(pair: SeriesPair) -> float:
@@ -175,12 +217,7 @@ def l_nr2(pair: SeriesPair) -> float:
     inequality.
     """
     _require_agreement_defined(pair)
-    mu = float(np.mean(pair.y))
-    d = pair.z - pair.y
-    dz = pair.z - mu
-    dy = mu - pair.y
-    den = (math.sqrt(float(np.sum(dz * dz))) + math.sqrt(float(np.sum(dy * dy)))) ** 2
-    return _bounded_ratio(float(np.sum(d * d)), den)
+    return _l_nr2(pair.z, pair.y)
 
 
 def l_lmc(pair: SeriesPair, f_of_y: float) -> float:
@@ -246,8 +283,8 @@ def l_nrp(pair: SeriesPair, p) -> float:
     dy = np.abs(m - pair.y)
     if math.isinf(p):
         return _bounded_ratio(float(np.max(err)), float(np.max(dz)) + float(np.max(dy)))
-    den = (float(np.sum(dz**p)) ** (1.0 / p) + float(np.sum(dy**p)) ** (1.0 / p)) ** p
-    return _bounded_ratio(float(np.sum(err**p)), den)
+    den = _power(float(_add(dz**p)) ** (1.0 / p) + float(_add(dy**p)) ** (1.0 / p), p)
+    return _bounded_ratio(float(_add(err**p)), den)
 
 
 def v_mean_avg(pair: SeriesPair) -> float:
@@ -313,12 +350,6 @@ class MetricReport:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
-
-    def value_of(self, name: str) -> float | None:
-        for e in self.entries:
-            if e.name == name:
-                return e.value
-        raise KeyError(name)
 
     def has_undefined(self) -> bool:
         return any(e.value is None for e in self.entries)

@@ -225,6 +225,10 @@ class ExperimentReport:
             missing = [c for c in self.columns if c not in row]
             if missing:
                 raise InvalidInputError(f"model row is missing columns {missing}")
+            for column in self.columns:
+                value = row[column]
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise InvalidInputError(f"{row['model']} {column} overflows: {value}")
 
     def row(self, name: str) -> dict:
         for row in self.models:
@@ -234,6 +238,14 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {"metadata": dict(self.metadata), "models": [dict(m) for m in self.models]}
+
+
+def _finite_std(what: str, values: np.ndarray) -> float:
+    """Population std of *values*, raising by name when it overflows."""
+    sd = std(values) if np.isfinite(values).all() else math.inf
+    if not math.isfinite(sd):
+        raise InvalidInputError(f"the standard deviation of {what} overflows")
+    return sd
 
 
 def _split_counts(n_total: int, split: int) -> None:
@@ -264,7 +276,7 @@ def run_climatology_experiment(
     train = y[:split]
     test = y[split:]
     mu = mean(train)
-    sd = std(train)
+    sd = _finite_std(f"the training draws from {spec!r}", train)
     models = (
         ("model_1", "mean", mu),
         ("model_2", "mean-sd", mu - sd),
@@ -273,18 +285,22 @@ def run_climatology_experiment(
     rows = []
     for name, label, constant in models:
         pair = SeriesPair(np.full(test.size, constant), test)
-        rows.append(
-            {
-                "model": name,
-                "constant": constant,
-                "mse": mse(pair),
-                "one_minus_nse": 1.0 - nse(pair),
-                "lnr2": l_nr2(pair),
-                "lw": l_w(pair),
-                "vbar_mean": v_mean_avg(pair),
-                "predictor": label,
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "model": name,
+                    "constant": constant,
+                    "mse": mse(pair),
+                    "one_minus_nse": 1.0 - nse(pair),
+                    "lnr2": l_nr2(pair),
+                    "lw": l_w(pair),
+                    "vbar_mean": v_mean_avg(pair),
+                    "predictor": label,
+                }
+            )
+        except UndefinedValueError as exc:
+            # A sample whose spread underflows leaves the scores undefined.
+            raise InvalidInputError(f"draws from {spec!r}: {exc}") from None
     metadata = {
         "kind": "climatology",
         "seed": rng.seed,
@@ -337,6 +353,8 @@ def run_linear_experiment(
 
     x_train, x_test = x[:split], x[split:]
     y_train, y_test = y[:split], y[split:]
+    _finite_std(f"the training response with a1={a1!r}", y_train)
+    test_std_y = _finite_std(f"the test response with a1={a1!r}", y_test)
 
     fits = (
         ("model_1", fit_linear_ols(x_train, y_train)),
@@ -370,7 +388,7 @@ def run_linear_experiment(
         "predictor": LINEAR_PREDICTOR.describe(),
         "noise": LINEAR_NOISE.describe(),
         "train_correlation": _safe_corr(x_train, y_train),
-        "test_std_y": std(y_test),
+        "test_std_y": test_std_y,
     }
     return ExperimentReport(metadata=metadata, columns=_LINEAR_COLUMNS, models=tuple(rows))
 

@@ -13,14 +13,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidInputError, UndefinedValueError
 
 __all__ = [
-    "SummaryStats",
     "as_vector",
     "center",
     "inner",
@@ -32,7 +30,6 @@ __all__ = [
     "pearson",
     "sign",
     "std",
-    "summary",
     "variance",
 ]
 
@@ -47,14 +44,13 @@ def as_vector(values) -> np.ndarray:
         InvalidInputError: empty input, wrong dimensionality, or non-finite
             elements.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError(f"expected a 1-D vector, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidInputError("vector must contain at least one element")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("vector elements must be finite")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -172,7 +168,8 @@ def lp_mean(y, p) -> float:
 
     def grad(theta: float) -> float:
         d = theta - arr
-        return float(np.sum(np.copysign(np.abs(d) ** expo, d)))
+        # np.add.reduce is np.sum without its dispatch; this runs per step.
+        return float(np.add.reduce(np.copysign(np.abs(d) ** expo, d)))
 
     g_lo = grad(lo)
     g_hi = grad(hi)
@@ -210,27 +207,3 @@ def sign(value) -> float:
     if value < 0:
         return -1.0
     return 0.0
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Population moments of one vector: mean, std, variance, mad."""
-
-    mean: float
-    std: float
-    variance: float
-    mad: float
-
-
-def summary(x) -> SummaryStats:
-    """Compute :class:`SummaryStats` in one pass over the validated vector."""
-    arr = as_vector(x)
-    mu = float(np.mean(arr))
-    dev = arr - mu
-    var = max(0.0, float(np.mean(dev * dev)))
-    return SummaryStats(
-        mean=mu,
-        std=math.sqrt(var),
-        variance=var,
-        mad=float(np.mean(np.abs(dev))),
-    )

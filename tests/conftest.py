@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from agreeloss.hydro import BucketParams, HydroSeries, run_bucket
+from agreeloss.losses import SeriesPair
 
 TRUTH_PARAMS = BucketParams(capacity=150.0, recession=0.12, split=0.25)
 
@@ -54,3 +55,17 @@ def ten_year_series() -> HydroSeries:
 @pytest.fixture(scope="session")
 def ten_year_noisy_series() -> HydroSeries:
     return synthetic_series(days_between("1999-01-01", "2009-01-01"), noise=0.3)
+
+
+@pytest.fixture
+def series_pair_lengths(monkeypatch) -> list:
+    """Length of every SeriesPair built while the test runs, in order."""
+    lengths = []
+    validate = SeriesPair.__post_init__
+
+    def counting(pair):
+        validate(pair)
+        lengths.append(pair.n)
+
+    monkeypatch.setattr(SeriesPair, "__post_init__", counting)
+    return lengths

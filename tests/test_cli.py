@@ -134,6 +134,17 @@ class TestMetrics:
         assert "metric mse is not finite" in err
         assert "out of [0, 1]" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_denominator_named(self, tmp_path, capsys):
+        # Each sum is finite, but (||z - mu|| + ||mu - y||)**2 overflows.
+        path = write_pairs(tmp_path, [9e153, -8.9e153], [9e153, -9e153])
+        code, out, err = run_cli(
+            capsys, "metrics", "--input", path, "--metrics", "lnr2", "--format", "json"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "agreeloss: error: metric lnr2 is not finite: nan\n"
+
     def test_unknown_metric_exit_one(self, tmp_path, capsys):
         path = write_pairs(tmp_path, [1.0], [2.0])
         code, _, err = run_cli(capsys, "metrics", "--input", path, "--metrics", "rmse")
@@ -369,6 +380,36 @@ class TestExperiment:
     )
     def test_gaussian_parameter_named(self, capsys, params, message):
         code, out, err = run_cli(capsys, "experiment", "climatology", "--seed", "1", *params)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("agreeloss: error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("climatology", "--sigma", "1e-320"),
+                "draws from Gaussian(mu=0.0, sigma=1e-320): NSE reference variance",
+            ),
+            (
+                ("climatology", "--mu", "1e200", "--sigma", "1e200"),
+                "standard deviation of the training draws from Gaussian(mu=1e+200, sigma=1e+200)"
+                " overflows",
+            ),
+            (
+                ("climatology", "--sigma", "4e152"),
+                "model_2 lnr2 overflows: nan",
+            ),
+            (
+                ("linear", "--a1", "1e300", "--n-total", "200", "--split", "100"),
+                "standard deviation of the training response with a1=1e+300 overflows",
+            ),
+        ],
+    )
+    def test_degenerate_sample_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "experiment", *argv[:1], "--seed", "1", *argv[1:])
         assert code == 1
         assert out == ""
         assert err.startswith("agreeloss: error: ") and message in err

@@ -403,6 +403,12 @@ class TestFitLinearLw:
         assert excinfo.value.point is not None
         assert math.isfinite(excinfo.value.value)
 
+    def test_descent_builds_no_series_pair(self, series_pair_lengths):
+        rng = np.random.default_rng(58)
+        x = rng.normal(0, 1, 50)
+        fit_linear_lw(x, x + rng.normal(0, 1, 50))
+        assert series_pair_lengths == []
+
     def test_constant_inputs_rejected(self):
         with pytest.raises(SingularDesignError):
             fit_linear_lw([1.0, 1.0], [0.0, 2.0])

@@ -1,6 +1,7 @@
 """Bucket model physics, CSV ingestion, and calibration behavior."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from agreeloss.hydro import (
     load_csv,
     run_bucket,
     run_calibration,
-    simulate_flow,
     write_csv,
 )
 from conftest import TRUTH_PARAMS, synthetic_forcing, synthetic_series
@@ -82,7 +82,7 @@ class TestHydroSeries:
 class TestSimulateFlow:
     def test_no_water_in_none_out(self):
         series = flat_series(n=30, precip=0.0, pet=2.0)
-        flow = simulate_flow(TRUTH_PARAMS, series, initial_store=0.0)
+        flow = run_bucket(TRUTH_PARAMS, series.precip, series.pet, 0.0).flow
         np.testing.assert_array_equal(flow, np.zeros(30))
 
     def test_full_bypass_reproduces_precipitation(self):
@@ -97,7 +97,7 @@ class TestSimulateFlow:
             flow=np.zeros(n),
         )
         params = BucketParams(capacity=80.0, recession=0.4, split=1.0)
-        flow = simulate_flow(params, series, initial_store=0.0)
+        flow = run_bucket(params, series.precip, series.pet, 0.0).flow
         np.testing.assert_array_equal(flow, precip)
 
     def test_single_pulse_geometric_recession(self):
@@ -124,9 +124,11 @@ class TestSimulateFlow:
             s0 = float(rng.uniform(0, params.capacity))
             trace = run_bucket(params, precip, pet, s0)
             water_in = precip.sum()
-            water_out = trace.flow.sum() + trace.evaporation.sum() + (trace.store[-1] - s0)
+            water_out = trace.flow.sum() + trace.total_evaporation + (trace.final_store - s0)
             assert abs(water_in - water_out) <= 1e-8 * max(1.0, water_in)
-            assert np.all(trace.store >= 0.0)
+            # A run over the first k days ends on day k's store.
+            for k in range(1, n + 1):
+                assert run_bucket(params, precip[:k], pet[:k], s0).final_store >= 0.0
 
     def test_more_recession_never_reduces_total_flow(self):
         _, precip, pet, _ = synthetic_forcing(400, seed=9)
@@ -137,16 +139,21 @@ class TestSimulateFlow:
         assert all(b >= a - 1e-12 for a, b in zip(totals, totals[1:]))
 
     def test_negative_initial_store_rejected(self):
+        series = flat_series()
         with pytest.raises(InvalidInputError):
-            simulate_flow(TRUTH_PARAMS, flat_series(), initial_store=-1.0)
+            run_bucket(TRUTH_PARAMS, series.precip, series.pet, initial_store=-1.0)
 
 
 def indexed_min_bucket(params, precip, pet, initial_store):
-    """The bucket recurrence in its indexed ``min()`` form, kept as the reference."""
+    """The bucket recurrence in its indexed ``min()`` form, kept as the reference.
+
+    Returns the daily flow, the evaporation summed day by day and the
+    end-of-day store of every day.
+    """
     n = precip.size
     flow = np.empty(n)
-    evap_out = np.empty(n)
     store_out = np.empty(n)
+    total_evap = 0.0
     capacity = params.capacity
     recession = params.recession
     split = params.split
@@ -158,14 +165,14 @@ def indexed_min_bucket(params, precip, pet, initial_store):
         demand = float(pet[i]) * min(1.0, s / capacity)
         evap = min(demand, s)
         s -= evap
+        total_evap += evap
         spill = s - capacity if s > capacity else 0.0
         s -= spill
         baseflow = recession * s
         s -= baseflow
         flow[i] = direct + spill + baseflow
-        evap_out[i] = evap
         store_out[i] = s
-    return flow, evap_out, store_out
+    return flow, total_evap, store_out
 
 
 def assert_same_bits(actual, expected):
@@ -174,9 +181,17 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-def assert_same_trace(trace, expected):
-    for name, values in zip(("flow", "evaporation", "store"), expected):
-        assert_same_bits(getattr(trace, name), values)
+def float_bits(value):
+    assert type(value) is float
+    return struct.pack("<d", value)
+
+
+def assert_same_trace(trace, expected, initial_store):
+    flow, total_evap, store = expected
+    assert_same_bits(trace.flow, flow)
+    assert float_bits(trace.total_evaporation) == float_bits(total_evap)
+    final = float(store[-1]) if store.size else float(initial_store)
+    assert float_bits(trace.final_store) == float_bits(final)
 
 
 class TestBucketKernel:
@@ -199,7 +214,7 @@ class TestBucketKernel:
             for n in self.LENGTHS:
                 precip, pet = self.forcing(rng, n)
                 expected = indexed_min_bucket(params, precip, pet, s0)
-                assert_same_trace(run_bucket(params, precip, pet, s0), expected)
+                assert_same_trace(run_bucket(params, precip, pet, s0), expected, s0)
 
     @pytest.mark.parametrize(
         "capacity, recession, split, s0, pet_mm",
@@ -217,7 +232,7 @@ class TestBucketKernel:
             precip, _ = self.forcing(rng, n)
             pet = np.full(n, pet_mm)
             expected = indexed_min_bucket(params, precip, pet, s0)
-            assert_same_trace(run_bucket(params, precip, pet, s0), expected)
+            assert_same_trace(run_bucket(params, precip, pet, s0), expected, s0)
 
     def test_matches_indexed_min_recurrence_on_zero_forcing(self):
         params = BucketParams(capacity=120.0, recession=0.3, split=0.4)
@@ -225,7 +240,7 @@ class TestBucketKernel:
             zeros = np.zeros(n)
             for s0 in (0.0, 60.0, 500.0):
                 expected = indexed_min_bucket(params, zeros, zeros, s0)
-                assert_same_trace(run_bucket(params, zeros, zeros, s0), expected)
+                assert_same_trace(run_bucket(params, zeros, zeros, s0), expected, s0)
 
     def test_prefix_run_equals_head_of_full_run(self):
         rng = np.random.default_rng(22)
@@ -236,11 +251,12 @@ class TestBucketKernel:
                 split=float(rng.uniform(0.0, 1.0)),
             )
             precip, pet = self.forcing(rng, 120)
-            full = run_bucket(params, precip, pet, params.capacity / 2.0)
+            s0 = params.capacity / 2.0
+            full = run_bucket(params, precip, pet, s0)
             for k in range(precip.size + 1):
-                head = run_bucket(params, precip[:k], pet[:k], params.capacity / 2.0)
-                for name in ("flow", "evaporation", "store"):
-                    assert_same_bits(getattr(head, name), getattr(full, name)[:k])
+                head = run_bucket(params, precip[:k], pet[:k], s0)
+                assert_same_bits(head.flow, full.flow[:k])
+                assert_same_trace(head, indexed_min_bucket(params, precip[:k], pet[:k], s0), s0)
 
     @pytest.mark.parametrize("n_precip, n_pet", [(10, 9), (9, 10)])
     def test_unequal_forcing_lengths_rejected(self, n_precip, n_pet):
@@ -402,6 +418,15 @@ class TestCalibrate:
         assert set(lengths[:-1]) == {cal.stop}
         assert lengths[-1] == series.n
 
+    @pytest.mark.parametrize("loss", ["se", "lnr2", "lw"])
+    def test_descent_builds_no_series_pair(self, short_noisy_series, series_pair_lengths, loss):
+        series = short_noisy_series
+        calibrate(series, 90, CAL_SPAN, VAL_SPAN, loss)
+        cal = series.span_slice(CAL_SPAN)
+        val = series.span_slice(VAL_SPAN)
+        # Only the two reported spans are scored through SeriesPair.
+        assert series_pair_lengths == [cal.stop - cal.start, val.stop - val.start]
+
     def test_descent_on_whole_record_gives_same_row(self, short_noisy_series, monkeypatch):
         series = short_noisy_series
         row = calibrate(series, 90, CAL_SPAN, VAL_SPAN, "lw")
@@ -409,11 +434,12 @@ class TestCalibrate:
 
         def whole_record(params, precip, pet, initial_store):
             trace = kernel(params, series.precip, series.pet, initial_store)
-            k = precip.size
-            return BucketTrace(trace.flow[:k], trace.evaporation[:k], trace.store[:k])
+            # The descent reads only the flow.
+            return BucketTrace(trace.flow[: precip.size], math.nan, math.nan)
 
         monkeypatch.setattr(hydro, "run_bucket", whole_record)
         assert calibrate(series, 90, CAL_SPAN, VAL_SPAN, "lw") == row
+
 
 class TestRunCalibration:
     def test_diagonal_dominance_and_shape(self, short_noisy_series):

@@ -1,6 +1,7 @@
 """Loss functions: worked examples, definedness guards, bounds, identities."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +102,11 @@ class TestNse:
     def test_constant_reference_undefined(self):
         with pytest.raises(UndefinedValueError):
             nse(pair([1.0, 2.0], [3.0, 3.0]))
+
+    def test_underflowing_reference_undefined(self):
+        # Non-constant observations whose variance underflows to zero.
+        with pytest.raises(UndefinedValueError, match="variance"):
+            nse(pair([0.0, 0.0], [0.0, 5e-324]))
 
 
 class TestSkillScore:
@@ -291,6 +297,65 @@ class TestInvariances:
             assert 0.0 <= l_nr2(p) <= 1.0
 
 
+def _snapped_ratio(num, den):
+    if den == 0.0:
+        raise UndefinedValueError("agreement loss denominator is zero")
+    value = num / den
+    return 1.0 if 1.0 < value <= 1.0 + 1e-12 else value
+
+
+def mean_sum_mse(z, y):
+    """Reference: the losses written with np.mean and np.sum."""
+    d = z - y
+    return float(np.mean(d * d))
+
+
+def mean_sum_l_w(z, y):
+    mu = float(np.mean(y))
+    d = z - y
+    path = np.abs(z - mu) + np.abs(mu - y)
+    return _snapped_ratio(float(np.sum(d * d)), float(np.sum(path * path)))
+
+
+def mean_sum_l_nr2(z, y):
+    mu = float(np.mean(y))
+    d = z - y
+    dz = z - mu
+    dy = mu - y
+    den = (math.sqrt(float(np.sum(dz * dz))) + math.sqrt(float(np.sum(dy * dy)))) ** 2
+    return _snapped_ratio(float(np.sum(d * d)), den)
+
+
+class TestKernels:
+    def test_same_bits_as_mean_sum_formulas(self):
+        rng = np.random.default_rng(40)
+        lengths = set()
+        for i in range(1000):
+            n = int(np.exp(rng.uniform(np.log(2), np.log(100_001))))
+            lengths.add(n)
+            loc, scale = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3, 3)
+            y = rng.normal(loc, scale, n)
+            z = y + rng.normal(0.0, scale * rng.uniform(0.01, 3.0), n)
+            if i % 10 == 0:
+                z[: n // 2] = y[: n // 2]
+            p = pair(z, y)
+            for loss, formula in ((mse, mean_sum_mse), (l_w, mean_sum_l_w), (l_nr2, mean_sum_l_nr2)):
+                value = loss(p)
+                assert type(value) is float
+                assert struct.pack("<d", value) == struct.pack("<d", formula(p.z, p.y))
+        assert min(lengths) < 10 and max(lengths) > 50_000
+
+    def test_overflowing_denominator_is_nan_not_zero(self):
+        # The sums of the numerators stay finite; the denominators do not.
+        y = np.array([1e153] * 9 + [-9e153])
+        z = y.copy()
+        z[-1] += 1e140
+        with np.errstate(over="ignore"):
+            assert math.isnan(l_w(pair(z, y)))
+            assert l_w(pair(y, y)) == 0.0
+        assert math.isnan(l_nr2(pair([9e153, -8.9e153], [9e153, -9e153])))
+
+
 @st.composite
 def _paired_lists(draw):
     n = draw(st.integers(min_value=2, max_value=30))
@@ -338,7 +403,7 @@ class TestMetricReport:
 
     def test_clamps_boundary_rounding(self):
         report = MetricReport((MetricEntry("lw", 1.0 + 1e-12, NEGATIVELY_ORIENTED),))
-        assert report.value_of("lw") == 1.0
+        assert report.entries[0].value == 1.0
 
     def test_undefined_entries_allowed(self):
         report = MetricReport((MetricEntry("nse", None, NEGATIVELY_ORIENTED),))
