@@ -360,7 +360,13 @@ def cmd_fit_linear(args) -> Output:
         }
         result["test"] = dict(test_metrics, n=int(x_test.size))
         inputs[args.test] = _digest(args.test)
-        tables.append(Table("test", list(test_metrics), [list(test_metrics.values())]))
+        tables.append(
+            Table(
+                "test",
+                ["mse", "lnr2", "lw", "vbar_mean"],
+                [[test_metrics["mse"], test_metrics["lnr2"], test_metrics["lw"], test_metrics["vbar_mean"]]],
+            )
+        )
     return Output(
         command="fit-linear",
         options={"loss": args.loss, "train": args.train, "test": args.test},
@@ -511,18 +517,24 @@ def cmd_calibrate(args) -> Output:
     )
 
 
-def _cell(value, float_text) -> str:
-    """One output cell as text; *float_text* renders floats."""
+def _cell_csv(value) -> str:
     if value is None:
         return "undefined"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return float_text(value)
+        return repr(value)
     return str(value)
 
 
-_TABLE_FLOAT = "{:.10g}".format
+def _cell_table(value) -> str:
+    if value is None:
+        return "undefined"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -553,21 +565,21 @@ def render(output: Output, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         for key, value in meta.items():
-            buf.write(f"# {key}={_cell(value, repr)}\n")
+            buf.write(f"# {key}={_cell_csv(value)}\n")
         for table in output.tables:
             if len(output.tables) > 1:
                 buf.write(f"# table={table.name}\n")
             buf.write(",".join(table.columns) + "\n")
             for row in table.rows:
-                buf.write(",".join(_cell(v, repr) for v in row) + "\n")
+                buf.write(",".join(_cell_csv(v) for v in row) + "\n")
         return buf.getvalue()
     # Plain-text tables.
     buf = io.StringIO()
     for key, value in meta.items():
-        buf.write(f"{key}: {_cell(value, _TABLE_FLOAT)}\n")
+        buf.write(f"{key}: {_cell_table(value)}\n")
     for table in output.tables:
         buf.write(f"\n[{table.name}]\n")
-        cells = [[_cell(v, _TABLE_FLOAT) for v in row] for row in table.rows]
+        cells = [[_cell_table(v) for v in row] for row in table.rows]
         widths = [
             max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
             for i, col in enumerate(table.columns)

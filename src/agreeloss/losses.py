@@ -283,8 +283,8 @@ def l_nrp(pair: SeriesPair, p) -> float:
     dy = np.abs(m - pair.y)
     if math.isinf(p):
         return _bounded_ratio(float(np.max(err)), float(np.max(dz)) + float(np.max(dy)))
-    den = _power(float(_add(dz**p)) ** (1.0 / p) + float(_add(dy**p)) ** (1.0 / p), p)
-    return _bounded_ratio(float(_add(err**p)), den)
+    den = _power(float(np.sum(dz**p)) ** (1.0 / p) + float(np.sum(dy**p)) ** (1.0 / p), p)
+    return _bounded_ratio(float(np.sum(err**p)), den)
 
 
 def v_mean_avg(pair: SeriesPair) -> float:
