@@ -324,6 +324,9 @@ def cmd_fit_constant(args) -> Output:
     )
 
 
+# An overflowing correlation is rejected by name (vector_stats.pearson);
+# numpy's overflow warnings would only repeat that on stderr.
+@np.errstate(over="ignore")
 def cmd_fit_linear(args) -> Output:
     x, y = read_csv(args.train, ("x", "y"))
     if args.loss == "se":
@@ -517,24 +520,19 @@ def cmd_calibrate(args) -> Output:
     )
 
 
-def _cell_csv(value) -> str:
+def _cell(value, float_text) -> str:
+    """One table cell; ``float_text`` renders floats (``repr`` for CSV)."""
     if value is None:
         return "undefined"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float_text(value)
     return str(value)
 
 
-def _cell_table(value) -> str:
-    if value is None:
-        return "undefined"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+# Floats in plain-text tables: ten significant digits.
+_table_float = "{:.10g}".format
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -565,21 +563,21 @@ def render(output: Output, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         for key, value in meta.items():
-            buf.write(f"# {key}={_cell_csv(value)}\n")
+            buf.write(f"# {key}={_cell(value, repr)}\n")
         for table in output.tables:
             if len(output.tables) > 1:
                 buf.write(f"# table={table.name}\n")
             buf.write(",".join(table.columns) + "\n")
             for row in table.rows:
-                buf.write(",".join(_cell_csv(v) for v in row) + "\n")
+                buf.write(",".join(_cell(v, repr) for v in row) + "\n")
         return buf.getvalue()
     # Plain-text tables.
     buf = io.StringIO()
     for key, value in meta.items():
-        buf.write(f"{key}: {_cell_table(value)}\n")
+        buf.write(f"{key}: {_cell(value, _table_float)}\n")
     for table in output.tables:
         buf.write(f"\n[{table.name}]\n")
-        cells = [[_cell_table(v) for v in row] for row in table.rows]
+        cells = [[_cell(v, _table_float) for v in row] for row in table.rows]
         widths = [
             max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
             for i, col in enumerate(table.columns)

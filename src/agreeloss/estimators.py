@@ -41,7 +41,7 @@ from .exceptions import (
 # SeriesPair.  The name stays bound here because perfbench's tracer counts
 # SeriesPair builds through it in each module that may build one.
 from .losses import SeriesPair, _l_w  # noqa: F401
-from .vector_stats import as_vector, is_constant, mad, mean, pearson, sign, std
+from .vector_stats import _constant, _mad, _mean, _variance, as_vector, pearson, sign
 
 __all__ = [
     "CLOSED_FORM",
@@ -246,9 +246,17 @@ def best_of_starts(results: list[MinimizeResult], config: MinimizerConfig) -> Mi
     return best
 
 
-def _require_nonconstant(y: np.ndarray, what: str = "observations") -> None:
-    if bool(np.all(y == y[0])):
-        raise UndefinedValueError(f"{what} must be non-constant")
+def _moments(y) -> tuple[float, float, float]:
+    """Mean, standard deviation and mean absolute deviation of non-constant ``y``.
+
+    ``y`` is validated once and its mean taken once; the moments are the
+    ones :mod:`vector_stats` computes.
+    """
+    arr = as_vector(y)
+    if _constant(arr):
+        raise UndefinedValueError("observations must be non-constant")
+    mu = _mean(arr)
+    return mu, math.sqrt(_variance(arr, mu)), _mad(arr, mu)
 
 
 def fit_constant_lw(y) -> ConstantFitResult:
@@ -257,11 +265,7 @@ def fit_constant_lw(y) -> ConstantFitResult:
     Minimizers are ``mean(y) +/- std(y)``; the minimum equals
     ``std/(std + mad)``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
-    md = mad(arr)
+    mu, sd, md = _moments(y)
     return ConstantFitResult(
         theta_plus=mu + sd,
         theta_minus=mu - sd,
@@ -272,10 +276,7 @@ def fit_constant_lw(y) -> ConstantFitResult:
 
 def fit_constant_lnr2(y) -> ConstantFitResult:
     """Constant fit under the norm-ratio loss; the minimum is exactly 1/2."""
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    mu, sd, _ = _moments(y)
     return ConstantFitResult(
         theta_plus=mu + sd,
         theta_minus=mu - sd,
@@ -290,11 +291,10 @@ def lw_constant_profile(theta: float, y) -> float:
     ``(u^2 + sd^2) / (u^2 + sd^2 + 2|u| mad)`` with ``u = theta - mean(y)``.
     Equals 1 at ``theta = mean(y)`` and tends to 1 as ``theta -> +/-inf``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    u = float(theta) - mean(arr)
-    sd2 = std(arr) ** 2
-    return (u * u + sd2) / (u * u + sd2 + 2.0 * abs(u) * mad(arr))
+    mu, sd, md = _moments(y)
+    u = float(theta) - mu
+    sd2 = sd**2
+    return (u * u + sd2) / (u * u + sd2 + 2.0 * abs(u) * md)
 
 
 def lnr2_constant_profile(theta: float, y) -> float:
@@ -302,10 +302,8 @@ def lnr2_constant_profile(theta: float, y) -> float:
 
     ``(u^2 + sd^2) / (|u| + sd)^2`` with ``u = theta - mean(y)``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    u = float(theta) - mean(arr)
-    sd = std(arr)
+    mu, sd, _ = _moments(y)
+    u = float(theta) - mu
     return (u * u + sd * sd) / (abs(u) + sd) ** 2
 
 
@@ -315,11 +313,7 @@ def lw_constant_derivative(theta: float, y) -> float:
     Undefined at the kink ``theta = mean(y)``; the raised error carries the
     one-sided limits ``+/- 2 mad / sd^2``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
-    md = mad(arr)
+    mu, sd, md = _moments(y)
     u = float(theta) - mu
     if u == 0.0:
         limit = 2.0 * md / (sd * sd)
@@ -335,11 +329,7 @@ def lw_constant_derivative(theta: float, y) -> float:
 
 def lw_constant_second_derivative(theta: float, y) -> float:
     """Second derivative of :func:`lw_constant_profile` away from the kink."""
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
-    md = mad(arr)
+    mu, sd, md = _moments(y)
     u = float(theta) - mu
     if u == 0.0:
         limit = 8.0 * md * md / sd**4
@@ -360,10 +350,7 @@ def lnr2_constant_derivative(theta: float, y) -> float:
     Undefined at the kink; the raised error carries the one-sided limits
     ``+/- 2 / sd``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    mu, sd, _ = _moments(y)
     u = float(theta) - mu
     if u == 0.0:
         raise NonDifferentiablePointError(
@@ -379,10 +366,7 @@ def lnr2_constant_second_derivative(theta: float, y) -> float:
 
     Equals ``1/(4 sd^2)`` at the minimizers ``mean(y) +/- std(y)``.
     """
-    arr = as_vector(y)
-    _require_nonconstant(arr)
-    mu = mean(arr)
-    sd = std(arr)
+    mu, sd, _ = _moments(y)
     u = float(theta) - mu
     if u == 0.0:
         limit = 8.0 / (sd * sd)
@@ -407,7 +391,7 @@ def _validated_xy(x, y):
 def fit_linear_ols(x, y) -> LinearFitResult:
     """Ordinary least squares; ``achieved_loss`` is the training MSE."""
     xv, yv = _validated_xy(x, y)
-    if is_constant(xv):
+    if _constant(xv):
         raise SingularDesignError("least squares requires a non-constant predictor")
     xc = xv - np.mean(xv)
     yc = yv - np.mean(yv)
@@ -435,9 +419,9 @@ def fit_linear_lnr2(x, y) -> LinearFitResult:
     not attain on re-scoring.
     """
     xv, yv = _validated_xy(x, y)
-    if is_constant(xv):
+    if _constant(xv):
         raise SingularDesignError("linear fit requires a non-constant predictor")
-    if is_constant(yv):
+    if _constant(yv):
         raise UndefinedValueError("linear fit requires non-constant observations")
     rho = pearson(xv, yv)
     if rho == 0.0:
@@ -479,9 +463,9 @@ def fit_linear_lw(x, y, config: MinimizerConfig | None = None) -> LinearFitResul
     """
     cfg = config if config is not None else MinimizerConfig()
     xv, yv = _validated_xy(x, y)
-    if is_constant(xv):
+    if _constant(xv):
         raise SingularDesignError("linear fit requires a non-constant predictor")
-    if is_constant(yv):
+    if _constant(yv):
         raise UndefinedValueError("linear fit requires non-constant observations")
 
     def objective(theta: np.ndarray) -> float:

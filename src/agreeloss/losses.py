@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidInputError, UndefinedValueError
-from .vector_stats import as_vector, lp_mean, variance
+from .vector_stats import _constant, _mean, _ssq, _variance, as_vector, lp_mean
 
 __all__ = [
     "MetricEntry",
@@ -72,8 +72,7 @@ class SeriesPair:
             )
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
-        # count_nonzero skips the dispatch cost of any() on short vectors.
-        object.__setattr__(self, "y_nonconstant", np.count_nonzero(y != y[0]) > 0)
+        object.__setattr__(self, "y_nonconstant", not _constant(y))
         object.__setattr__(self, "z_differs", np.count_nonzero(z != y) > 0)
 
     @property
@@ -129,29 +128,19 @@ def _power(base: float, p: float) -> float:
 
 # Array kernels of the losses that the descents minimize.  They take
 # validated, equal-length float vectors and skip the SeriesPair checks.
-# np.add.reduce is the reduction behind np.sum and np.mean, without their
-# dispatch, so the kernels keep those formulas' results bit for bit.
-_add = np.add.reduce
-
-
-def _ssq(v: np.ndarray) -> float:
-    """Sum of squares."""
-    return float(_add(np.square(v)))
-
-
 def _mse(z: np.ndarray, y: np.ndarray) -> float:
     return _ssq(z - y) / z.size
 
 
 def _l_w(z: np.ndarray, y: np.ndarray) -> float:
-    mu = float(_add(y)) / y.size
+    mu = _mean(y)
     path = np.abs(z - mu)
     path += np.abs(mu - y)
     return _bounded_ratio(_ssq(z - y), _ssq(path))
 
 
 def _l_nr2(z: np.ndarray, y: np.ndarray) -> float:
-    mu = float(_add(y)) / y.size
+    mu = _mean(y)
     den = _power(math.sqrt(_ssq(z - mu)) + math.sqrt(_ssq(mu - y)), 2)
     return _bounded_ratio(_ssq(z - y), den)
 
@@ -177,7 +166,7 @@ def nse(pair: SeriesPair) -> float:
         raise UndefinedValueError(
             "NSE reference is undefined for constant observations"
         )
-    reference = variance(pair.y)
+    reference = _variance(pair.y, _mean(pair.y))
     if reference == 0.0:
         raise UndefinedValueError("NSE reference variance underflows to zero")
     return 1.0 - mse(pair) / reference

@@ -1,4 +1,4 @@
-"""One-dimensional vector statistics and norms.
+"""One-dimensional vector statistics.
 
 Conventions used throughout the package:
 
@@ -20,11 +20,7 @@ from .exceptions import DimensionMismatchError, InvalidInputError, UndefinedValu
 
 __all__ = [
     "as_vector",
-    "center",
-    "inner",
-    "is_constant",
     "lp_mean",
-    "lp_norm",
     "mad",
     "mean",
     "pearson",
@@ -55,30 +51,54 @@ def as_vector(values) -> np.ndarray:
     return arr
 
 
-def is_constant(x) -> bool:
+# Moment kernels on validated vectors.  np.add.reduce is the reduction
+# behind np.sum and np.mean, without their dispatch, so the kernels keep
+# those formulas' results bit for bit.  The variance and mad kernels take
+# the mean as an argument, so a caller that needs several moments takes it
+# once.
+_add = np.add.reduce
+
+
+def _constant(arr: np.ndarray) -> bool:
     """True when every element equals the first one (exact comparison)."""
-    arr = as_vector(x)
-    return bool(np.all(arr == arr[0]))
+    # count_nonzero skips the dispatch cost of any() on short vectors.
+    return not np.count_nonzero(arr != arr[0])
+
+
+def _ssq(v: np.ndarray) -> float:
+    """Sum of squares."""
+    return float(_add(np.square(v)))
+
+
+def _mean(arr: np.ndarray) -> float:
+    return float(_add(arr)) / arr.size
+
+
+def _variance(arr: np.ndarray, mu: float) -> float:
+    # Centered two-pass form; equals (||x||^2 - n*mu^2)/n without the
+    # cancellation. Clamped so rounding can never leave a negative value.
+    return max(0.0, _ssq(arr - mu) / arr.size)
+
+
+def _mad(arr: np.ndarray, mu: float) -> float:
+    return float(_add(np.abs(mu - arr))) / arr.size
 
 
 def mean(x) -> float:
     """Arithmetic mean."""
-    return float(np.mean(as_vector(x)))
+    return _mean(as_vector(x))
 
 
 def mad(x) -> float:
     """Mean absolute deviation from the mean."""
     arr = as_vector(x)
-    return float(np.mean(np.abs(np.mean(arr) - arr)))
+    return _mad(arr, _mean(arr))
 
 
 def variance(x) -> float:
     """Population variance (divisor ``n``)."""
     arr = as_vector(x)
-    centered = arr - np.mean(arr)
-    # Centered two-pass form; equals (||x||^2 - n*mu^2)/n without the
-    # cancellation. Clamped so rounding can never leave a negative value.
-    return max(0.0, float(np.mean(centered * centered)))
+    return _variance(arr, _mean(arr))
 
 
 def std(x) -> float:
@@ -86,42 +106,11 @@ def std(x) -> float:
     return math.sqrt(variance(x))
 
 
-def center(x) -> np.ndarray:
-    """Subtract the mean; the result sums to zero."""
-    arr = as_vector(x)
-    return arr - np.mean(arr)
-
-
-def lp_norm(x, p) -> float:
-    """L_p norm for ``p >= 1`` or ``p = inf`` (Chebyshev)."""
-    arr = as_vector(x)
-    p = float(p)
-    if not p >= 1.0:
-        raise InvalidInputError(f"lp_norm requires p >= 1, got {p}")
-    if math.isinf(p):
-        return float(np.max(np.abs(arr)))
-    if p == 1.0:
-        return float(np.sum(np.abs(arr)))
-    if p == 2.0:
-        return float(np.sqrt(np.dot(arr, arr)))
-    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
-
-
-def inner(x, y) -> float:
-    """Euclidean inner product of equal-length vectors."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatchError(
-            f"inner product needs equal lengths, got {xv.size} and {yv.size}"
-        )
-    return float(np.dot(xv, yv))
-
-
 def pearson(x, y) -> float:
     """Pearson correlation of two non-constant, equal-length vectors.
 
     Raises:
+        InvalidInputError: a centered norm overflows.
         UndefinedValueError: if either vector is constant.
     """
     xv = as_vector(x)
@@ -134,6 +123,8 @@ def pearson(x, y) -> float:
     yc = yv - np.mean(yv)
     nx = float(np.sqrt(np.dot(xc, xc)))
     ny = float(np.sqrt(np.dot(yc, yc)))
+    if not (math.isfinite(nx) and math.isfinite(ny)):
+        raise InvalidInputError("correlation overflows: a centered norm is not finite")
     if nx == 0.0 or ny == 0.0:
         raise UndefinedValueError("correlation is undefined for a constant vector")
     r = float(np.dot(xc, yc)) / (nx * ny)
@@ -156,7 +147,7 @@ def lp_mean(y, p) -> float:
     if p == 1.0:
         return float(np.median(arr))
     if p == 2.0:
-        return float(np.mean(arr))
+        return _mean(arr)
     lo = float(np.min(arr))
     hi = float(np.max(arr))
     if lo == hi:

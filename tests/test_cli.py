@@ -258,6 +258,18 @@ class TestFitLinear:
         assert set(result["test"]) == {"mse", "lnr2", "lw", "vbar_mean", "n"}
         assert 0.0 <= result["test"]["lw"] <= 1.0
 
+    @pytest.mark.parametrize("loss", ["lnr2", "lw"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_correlation_named(self, tmp_path, capsys, loss):
+        # Perfectly correlated, but the squared deviations of y overflow.
+        path = write_xy(tmp_path, [0.0, 1.0, 2.0], [0.0, 1e200, 2e200])
+        code, out, err = run_cli(
+            capsys, "fit-linear", "--loss", loss, "--train", path, "--format", "json"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "agreeloss: error: correlation overflows: a centered norm is not finite\n"
+
     def test_constant_predictor_exit_two(self, tmp_path, capsys):
         path = write_xy(tmp_path, [2.0, 2.0], [1.0, 3.0])
         code, _, _ = run_cli(capsys, "fit-linear", "--loss", "se", "--train", path)

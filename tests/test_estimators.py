@@ -1,10 +1,12 @@
 """Estimators: closed forms vs numerical minimization, derivative oracles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from agreeloss import estimators, vector_stats
 from agreeloss.estimators import (
     CLOSED_FORM,
     NUMERICAL,
@@ -30,9 +32,9 @@ from agreeloss.exceptions import (
     SingularDesignError,
     UndefinedValueError,
 )
-from agreeloss.losses import SeriesPair, l_nr2, l_w
+from agreeloss.losses import SeriesPair, l_nr2, l_w, mse, nse
 from agreeloss.simulate import Gaussian, Rng, sample
-from agreeloss.vector_stats import mad, mean, pearson, std
+from agreeloss.vector_stats import mad, mean, pearson, sign, std
 
 
 def central_difference(fn, t, h):
@@ -266,6 +268,124 @@ class TestDerivatives:
                 fd = central_difference(lambda t: first(t, y), theta, h)
                 analytic = second(theta, y)
                 assert abs(analytic - fd) <= 1e-5 * (1.0 + abs(analytic))
+
+
+# Reference moment formulas, one call per moment: each validates and
+# copies y and takes its own mean.
+def per_call_mean(y):
+    return float(np.mean(np.array(y, dtype=float)))
+
+
+def per_call_variance(y):
+    arr = np.array(y, dtype=float)
+    centered = arr - np.mean(arr)
+    return max(0.0, float(np.mean(centered * centered)))
+
+
+def per_call_std(y):
+    return math.sqrt(per_call_variance(y))
+
+
+def per_call_mad(y):
+    arr = np.array(y, dtype=float)
+    return float(np.mean(np.abs(np.mean(arr) - arr)))
+
+
+def bits(*values):
+    return tuple(struct.pack("<d", v) for v in values)
+
+
+class TestMomentsBits:
+    """The constant family and nse against the per-call moment formulas."""
+
+    @staticmethod
+    def expected(y, theta):
+        """(function, expected values or kink limits) for each function."""
+        mu, sd, md = per_call_mean(y), per_call_std(y), per_call_mad(y)
+        u = theta - mu
+        cases = [
+            (fit_constant_lw, (mu + sd, mu - sd, sd / (sd + md))),
+            (fit_constant_lnr2, (mu + sd, mu - sd, 0.5)),
+            (lw_constant_profile, ((u * u + sd**2) / (u * u + sd**2 + 2.0 * abs(u) * md),)),
+            (lnr2_constant_profile, ((u * u + sd * sd) / (abs(u) + sd) ** 2,)),
+        ]
+        if u == 0.0:
+            lw_limit, lw2_limit = 2.0 * md / (sd * sd), 8.0 * md * md / sd**4
+            return cases + [
+                (lw_constant_derivative, (lw_limit, -lw_limit)),
+                (lw_constant_second_derivative, (lw2_limit, lw2_limit)),
+                (lnr2_constant_derivative, (2.0 / sd, -2.0 / sd)),
+                (lnr2_constant_second_derivative, (8.0 / (sd * sd), 8.0 / (sd * sd))),
+            ]
+        lw_den = u * u + sd * sd + 2.0 * abs(u) * md
+        sd2 = sd * sd
+        return cases + [
+            (lw_constant_derivative, (2.0 * md * (u * u - sd * sd) * sign(u) / lw_den**2,)),
+            (
+                lw_constant_second_derivative,
+                (4.0 * md * (2.0 * md * sd2 + u * (3.0 * sd2 - u * u) * sign(u)) / lw_den**3,),
+            ),
+            (lnr2_constant_derivative, (2.0 * sd * (u - sign(u) * sd) / (sd + abs(u)) ** 3,)),
+            (lnr2_constant_second_derivative, (4.0 * sd * (2.0 * sd - abs(u)) / (sd + abs(u)) ** 4,)),
+        ]
+
+    @staticmethod
+    def observed(fn, theta, y):
+        if fn in (fit_constant_lw, fit_constant_lnr2):
+            fit = fn(y)
+            return fit.theta_plus, fit.theta_minus, fit.min_loss
+        try:
+            return (fn(theta, y),)
+        except NonDifferentiablePointError as exc:
+            return exc.left_limit, exc.right_limit
+
+    def test_same_bits_as_per_call_formulas(self):
+        rng = np.random.default_rng(51)
+        lengths = set()
+        for i in range(1000):
+            n = int(np.exp(rng.uniform(np.log(2), np.log(100_001))))
+            lengths.add(n)
+            loc, scale = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3, 3)
+            y = rng.normal(loc, scale, n)
+            mu = per_call_mean(y)
+            # Every tenth vector is evaluated at the kink theta = mean(y).
+            theta = mu if i % 10 == 0 else mu + scale * rng.uniform(-3.0, 3.0)
+            for fn, want in self.expected(y, theta):
+                got = self.observed(fn, theta, y)
+                assert all(type(v) is float for v in got), fn.__name__
+                assert bits(*got) == bits(*want), fn.__name__
+            pair = SeriesPair(y + rng.normal(0.0, scale, n), y)
+            assert bits(nse(pair)) == bits(1.0 - mse(pair) / per_call_variance(y))
+        assert min(lengths) < 10 and max(lengths) > 50_000
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            fit_constant_lw,
+            fit_constant_lnr2,
+            lw_constant_profile,
+            lnr2_constant_profile,
+            lw_constant_derivative,
+            lnr2_constant_derivative,
+            lw_constant_second_derivative,
+            lnr2_constant_second_derivative,
+        ],
+    )
+    def test_validates_y_once(self, monkeypatch, fn):
+        calls = []
+
+        def counted(original):
+            def as_vector(values):
+                calls.append(values)
+                return original(values)
+
+            return as_vector
+
+        for module in (estimators, vector_stats):
+            monkeypatch.setattr(module, "as_vector", counted(module.as_vector))
+        y = np.random.default_rng(52).normal(0.0, 1.0, 50)
+        self.observed(fn, 0.3, y)
+        assert len(calls) == 1
 
 
 class TestFitLinearOls:
