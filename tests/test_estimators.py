@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from agreeloss.estimators import (
     CLOSED_FORM,
     NUMERICAL,
     MinimizerConfig,
+    best_of_starts,
     fit_constant_lnr2,
     fit_constant_lw,
     fit_linear_lnr2,
@@ -32,7 +34,7 @@ from agreeloss.exceptions import (
     SingularDesignError,
     UndefinedValueError,
 )
-from agreeloss.losses import SeriesPair, l_nr2, l_w, mse, nse
+from agreeloss.losses import SeriesPair, _l_w, l_nr2, l_w, mse, nse
 from agreeloss.simulate import Gaussian, Rng, sample
 from agreeloss.vector_stats import mad, mean, pearson, sign, std
 
@@ -386,6 +388,109 @@ class TestMomentsBits:
         y = np.random.default_rng(52).normal(0.0, 1.0, 50)
         self.observed(fn, 0.3, y)
         assert len(calls) == 1
+
+
+# Reference linear fits, one centring per call: each fit and the
+# correlation validate x and y and centre them again.
+def per_call_sums(x, y):
+    xc = x - np.mean(x)
+    yc = y - np.mean(y)
+    return xc, yc
+
+
+def per_call_pearson(x, y):
+    xc, yc = per_call_sums(x, y)
+    nx = float(np.sqrt(np.dot(xc, xc)))
+    ny = float(np.sqrt(np.dot(yc, yc)))
+    return min(1.0, max(-1.0, float(np.dot(xc, yc)) / (nx * ny)))
+
+
+def per_call_ols(x, y):
+    xc, yc = per_call_sums(x, y)
+    slope = float(np.dot(xc, yc) / np.dot(xc, xc))
+    intercept = float(np.mean(y) - slope * np.mean(x))
+    residual = slope * x + intercept - y
+    return slope, intercept, float(np.mean(residual * residual)), False
+
+
+def per_call_lnr2(x, y):
+    rho = per_call_pearson(x, y)
+    if rho == 0.0:
+        return 0.0, float(np.mean(y)), 0.5, True
+    xc, yc = per_call_sums(x, y)
+    slope = sign(rho) * math.sqrt(float(np.dot(yc, yc)) / float(np.dot(xc, xc)))
+    intercept = float(np.mean(y) - slope * np.mean(x))
+    return slope, intercept, (1.0 - abs(rho)) / 2.0, False
+
+
+def per_call_lw(x, y, config):
+    """(slope, intercept, loss) of the descent from both closed-form starts."""
+
+    def objective(theta):
+        z = theta[0] * x + theta[1]
+        return _l_w(z, y) if np.isfinite(z).all() else math.inf
+
+    starts = [per_call_ols(x, y)[:2], per_call_lnr2(x, y)[:2]]
+    results = [minimize(objective, np.asarray(start), config) for start in starts]
+    best = best_of_starts(results, config)
+    return float(best.point[0]), float(best.point[1]), best.value
+
+
+class TestLinearBits:
+    """The linear fits and pearson against the per-call formulas."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(61)
+        for i in range(1000):
+            if i % 100 == 7:
+                # Exactly uncorrelated: the flagged flat norm-ratio fit.
+                scale, shift = 2.0 ** int(rng.integers(-8, 9)), float(rng.integers(-4, 5))
+                yield i, scale * np.array([1.0, 2.0, 3.0]) + shift, np.array([1.0, 0.0, 1.0])
+                continue
+            n = int(np.exp(rng.uniform(np.log(2), np.log(100_001))))
+            x = rng.normal(rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3, 3), n)
+            noise = rng.normal(rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3, 3), n)
+            yield i, x, rng.uniform(-5.0, 5.0) * x + noise
+
+    def test_same_bits_as_per_call_formulas(self):
+        lengths, flat = set(), 0
+        for _, x, y in self.pairs():
+            lengths.add(x.size)
+            assert bits(pearson(x, y)) == bits(per_call_pearson(x, y))
+            for fn, reference in ((fit_linear_ols, per_call_ols), (fit_linear_lnr2, per_call_lnr2)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateFitWarning)
+                    fit = fn(x, y)
+                slope, intercept, loss, degenerate = reference(x, y)
+                got = (fit.slope, fit.intercept, fit.achieved_loss)
+                assert all(type(v) is float for v in got), fn.__name__
+                assert bits(*got) == bits(slope, intercept, loss), fn.__name__
+                assert fit.degenerate is degenerate, fn.__name__
+            flat += fit.degenerate
+        assert min(lengths) < 10 and max(lengths) > 50_000
+        assert flat == 10
+
+    def test_lw_same_result_or_error_as_per_call_starts(self):
+        outcomes = []
+        for i, x, y in self.pairs():
+            if i % 10 or x.size > 2_000:
+                continue
+            # A short budget on every other case makes the descents fail.
+            config = MinimizerConfig(max_iterations=60 if i % 20 else 10_000)
+            try:
+                want = per_call_lw(x, y, config)
+            except ConvergenceError as want_error:
+                with pytest.raises(ConvergenceError) as got_error:
+                    fit_linear_lw(x, y, config)
+                got = got_error.value
+                assert bits(got.value, *got.point) == bits(want_error.value, *want_error.point)
+                outcomes.append("error")
+            else:
+                fit = fit_linear_lw(x, y, config)
+                assert bits(fit.slope, fit.intercept, fit.achieved_loss) == bits(*want)
+                outcomes.append("fit")
+        assert len(outcomes) > 50 and set(outcomes) == {"error", "fit"}
 
 
 class TestFitLinearOls:

@@ -26,6 +26,8 @@ PAIRS = [(0.5, 1.0), (2.25, 1.75), (-1.0, 0.5), (3.5, 4.0), (1.0, -0.25), (2.0, 
 SERIES = [1.5, 2.25, -0.75, 4.0, 3.125, 0.5, 2.0]
 TRAIN = [(0.0, 0.3), (1.0, 2.1), (2.0, 3.7), (3.0, 6.4), (4.0, 7.6), (5.0, 10.3), (6.0, 11.8)]
 TEST = [(0.5, 1.4), (2.5, 5.2), (4.5, 8.7), (5.5, 11.4)]
+# Exactly uncorrelated rows: the norm-ratio fit is the flagged flat line.
+FLAT = [(1.0, 1.0), (2.0, 0.0), (3.0, 1.0)]
 
 ALL_METRICS = (
     "mae,mse,nse,one_minus_nse,lw,lnr2,vbar_mean,vbar_median,"
@@ -40,6 +42,7 @@ CASES = {
     "fit_linear_se": ["fit-linear", "--loss", "se", "--train", "train.csv", "--test", "test.csv"],
     "fit_linear_lnr2": ["fit-linear", "--loss", "lnr2", "--train", "train.csv", "--test", "test.csv"],
     "fit_linear_lw": ["fit-linear", "--loss", "lw", "--train", "train.csv", "--test", "test.csv"],
+    "fit_linear_lnr2_flat": ["fit-linear", "--loss", "lnr2", "--train", "flat.csv"],
     "profile_lw": ["profile", "--loss", "lw", "--input", "series.csv",
                    "--min", "-2", "--max", "5", "--steps", "8"],
     "profile_lnr2": ["profile", "--loss", "lnr2", "--input", "series.csv",
@@ -71,6 +74,7 @@ def write_inputs(directory: Path) -> None:
     _write_rows(directory / "series.csv", "y", [(v,) for v in SERIES])
     _write_rows(directory / "train.csv", "x,y", TRAIN)
     _write_rows(directory / "test.csv", "x,y", TEST)
+    _write_rows(directory / "flat.csv", "x,y", FLAT)
     write_csv(synthetic_series(120, noise=0.3, start="2000-01-01"), directory / "catchment.csv")
 
 
