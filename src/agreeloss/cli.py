@@ -324,7 +324,7 @@ def cmd_fit_constant(args) -> Output:
     )
 
 
-# An overflowing correlation is rejected by name (vector_stats.pearson);
+# A fit, prediction or test score that overflows is rejected by name;
 # numpy's overflow warnings would only repeat that on stderr.
 @np.errstate(over="ignore")
 def cmd_fit_linear(args) -> Output:
@@ -355,21 +355,15 @@ def cmd_fit_linear(args) -> Output:
     if args.test is not None:
         x_test, y_test = read_csv(args.test, ("x", "y"))
         pair = SeriesPair(fit.predict(x_test), y_test)
-        test_metrics = {
-            "mse": mse(pair),
-            "lnr2": l_nr2(pair),
-            "lw": l_w(pair),
-            "vbar_mean": v_mean_avg(pair),
-        }
+        entries = []
+        for name in ("mse", "lnr2", "lw", "vbar_mean"):
+            fn, orientation = _SIMPLE_METRICS[name]
+            entries.append(MetricEntry(name, fn(pair), orientation))
+        # MetricReport rejects a score that overflowed, naming the metric.
+        test_metrics = {e.name: e.value for e in MetricReport(tuple(entries)).entries}
         result["test"] = dict(test_metrics, n=int(x_test.size))
         inputs[args.test] = _digest(args.test)
-        tables.append(
-            Table(
-                "test",
-                ["mse", "lnr2", "lw", "vbar_mean"],
-                [[test_metrics["mse"], test_metrics["lnr2"], test_metrics["lw"], test_metrics["vbar_mean"]]],
-            )
-        )
+        tables.append(Table("test", list(test_metrics), [list(test_metrics.values())]))
     return Output(
         command="fit-linear",
         options={"loss": args.loss, "train": args.train, "test": args.test},

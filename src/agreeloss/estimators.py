@@ -40,8 +40,10 @@ from .exceptions import (
 # The descents call the _l_w kernel on validated vectors and build no
 # SeriesPair.  The name stays bound here because perfbench's tracer counts
 # SeriesPair builds through it in each module that may build one.
-from .losses import SeriesPair, _l_w  # noqa: F401
-from .vector_stats import _constant, _mad, _mean, _variance, as_vector, pearson, sign
+from .losses import SeriesPair, _l_w, _mse  # noqa: F401
+from .vector_stats import (
+    _centred_sums, _constant, _correlation, _mad, _mean, _variance, as_vector, sign
+)
 
 __all__ = [
     "CLOSED_FORM",
@@ -117,7 +119,11 @@ class LinearFitResult:
     degenerate: bool = False
 
     def predict(self, x) -> np.ndarray:
-        return self.slope * as_vector(x) + self.intercept
+        """``slope * x + intercept``; raises InvalidInputError if one overflows."""
+        z = self.slope * as_vector(x) + self.intercept
+        if not np.isfinite(z).all():
+            raise InvalidInputError("linear fit predictions are not finite")
+        return z
 
 
 def _eval(objective, point: np.ndarray) -> float:
@@ -378,31 +384,55 @@ def lnr2_constant_second_derivative(theta: float, y) -> float:
     return 4.0 * sd * (2.0 * sd - abs(u)) / (sd + abs(u)) ** 4
 
 
-def _validated_xy(x, y):
+def _line_sums(x, y, ols: bool = False):
+    """``(xv, yv, (mx, my, sxx, syy, sxy))``: validated, checked and centred once.
+
+    Least squares (``ols``) allows a constant response and an infinite ``syy``.
+    """
+    fit = "least squares" if ols else "linear fit"
     xv = as_vector(x)
     yv = as_vector(y)
     if xv.size != yv.size:
         raise InvalidInputError(
             f"predictor and response differ in length: {xv.size} != {yv.size}"
         )
-    return xv, yv
+    if _constant(xv):
+        raise SingularDesignError(f"{fit} requires a non-constant predictor")
+    if not ols and _constant(yv):
+        raise UndefinedValueError("linear fit requires non-constant observations")
+    sums = _centred_sums(xv, yv)
+    sxx = sums[2]
+    if not math.isfinite(sxx):
+        raise InvalidInputError(f"{fit}: the predictor's centred sum of squares overflows")
+    if sxx == 0.0:
+        raise SingularDesignError(f"{fit}: the predictor's centred sum of squares underflows")
+    return xv, yv, sums
+
+
+def _ols_line(mx, my, sxx, syy, sxy) -> tuple[float, float]:
+    slope = sxy / sxx
+    return slope, my - slope * mx
+
+
+def _nr2_line(rho, mx, my, sxx, syy, sxy) -> tuple[float, float]:
+    """Slope ``sign(rho) * sqrt(syy / sxx)`` through the means; ``sign(0) = 0``."""
+    scale = math.sqrt(syy / sxx)
+    slope = sign(rho) * scale
+    intercept = my - slope * mx
+    if not (math.isfinite(scale) and math.isfinite(intercept)):
+        raise InvalidInputError(f"norm-ratio fit overflows: |slope| {scale}, intercept {intercept}")
+    return slope, intercept
 
 
 def fit_linear_ols(x, y) -> LinearFitResult:
-    """Ordinary least squares; ``achieved_loss`` is the training MSE."""
-    xv, yv = _validated_xy(x, y)
-    if _constant(xv):
-        raise SingularDesignError("least squares requires a non-constant predictor")
-    xc = xv - np.mean(xv)
-    yc = yv - np.mean(yv)
-    slope = float(np.dot(xc, yc) / np.dot(xc, xc))
-    intercept = float(np.mean(yv) - slope * np.mean(xv))
-    residual = slope * xv + intercept - yv
+    """Ordinary least squares; ``achieved_loss`` is the training MSE, which must be finite."""
+    xv, yv, sums = _line_sums(x, y, ols=True)
+    slope, intercept = _ols_line(*sums)
+    loss = _mse(slope * xv + intercept, yv)
+    if not math.isfinite(loss):
+        raise InvalidInputError(f"least squares overflows: the training MSE is {loss}")
     return LinearFitResult(
-        slope=slope,
-        intercept=intercept,
-        achieved_loss=float(np.mean(residual * residual)),
-        method=CLOSED_FORM,
+        slope=slope, intercept=intercept, achieved_loss=loss, method=CLOSED_FORM
     )
 
 
@@ -412,41 +442,27 @@ def fit_linear_lnr2(x, y) -> LinearFitResult:
     Slope ``sign(rho) * ||y_c|| / ||x_c||``, intercept
     ``mean(y) - slope * mean(x)``, achieved loss ``(1 - |rho|) / 2``.
 
-    At exactly zero correlation the sign convention collapses the slope to
+    At exactly zero correlation ``sign(0) = 0`` collapses the slope to
     zero; the result is flagged ``degenerate`` and a
     :class:`DegenerateFitWarning` is emitted.  The reported loss is still
     the limiting optimum ``1/2``, which the degenerate point itself does
     not attain on re-scoring.
     """
-    xv, yv = _validated_xy(x, y)
-    if _constant(xv):
-        raise SingularDesignError("linear fit requires a non-constant predictor")
-    if _constant(yv):
-        raise UndefinedValueError("linear fit requires non-constant observations")
-    rho = pearson(xv, yv)
+    _, _, sums = _line_sums(x, y)
+    rho = _correlation(sums)
+    slope, intercept = _nr2_line(rho, *sums)
     if rho == 0.0:
         warnings.warn(
             "zero correlation: slope sign is undefined, returning the flat fit",
             DegenerateFitWarning,
             stacklevel=2,
         )
-        return LinearFitResult(
-            slope=0.0,
-            intercept=float(np.mean(yv)),
-            achieved_loss=0.5,
-            method=CLOSED_FORM,
-            degenerate=True,
-        )
-    xc = xv - np.mean(xv)
-    yc = yv - np.mean(yv)
-    scale = math.sqrt(float(np.dot(yc, yc)) / float(np.dot(xc, xc)))
-    slope = sign(rho) * scale
-    intercept = float(np.mean(yv) - slope * np.mean(xv))
     return LinearFitResult(
         slope=slope,
         intercept=intercept,
         achieved_loss=(1.0 - abs(rho)) / 2.0,
         method=CLOSED_FORM,
+        degenerate=rho == 0.0,
     )
 
 
@@ -462,11 +478,8 @@ def fit_linear_lw(x, y, config: MinimizerConfig | None = None) -> LinearFitResul
             the error carries the best iterate found.
     """
     cfg = config if config is not None else MinimizerConfig()
-    xv, yv = _validated_xy(x, y)
-    if _constant(xv):
-        raise SingularDesignError("linear fit requires a non-constant predictor")
-    if _constant(yv):
-        raise UndefinedValueError("linear fit requires non-constant observations")
+    xv, yv, sums = _line_sums(x, y)
+    rho = _correlation(sums)
 
     def objective(theta: np.ndarray) -> float:
         z = theta[0] * xv + theta[1]
@@ -475,12 +488,7 @@ def fit_linear_lw(x, y, config: MinimizerConfig | None = None) -> LinearFitResul
         # yv is validated and non-constant, so l_w is defined on every z.
         return _l_w(z, yv)
 
-    ols = fit_linear_ols(xv, yv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateFitWarning)
-        nr2 = fit_linear_lnr2(xv, yv)
-    starts = [(ols.slope, ols.intercept), (nr2.slope, nr2.intercept)]
-
+    starts = [_ols_line(*sums), _nr2_line(rho, *sums)]
     best = best_of_starts(
         [minimize(objective, np.asarray(start, dtype=float), cfg) for start in starts], cfg
     )

@@ -38,6 +38,7 @@ from .exceptions import (
     UndefinedValueError,
 )
 from .losses import SeriesPair, _l_nr2, _l_w, _mse, l_nr2, l_w, mse, v_mean_avg
+from .vector_stats import _constant
 
 __all__ = [
     "BucketParams",
@@ -346,7 +347,7 @@ def calibrate(
     # HydroSeries guarantees finite flows; a non-constant observed span
     # keeps every agreement loss defined, so the descent skips SeriesPair.
     obs_cal = series.flow[cal]
-    if loss != "se" and bool(np.all(obs_cal == obs_cal[0])):
+    if loss != "se" and _constant(obs_cal):
         raise UndefinedValueError(
             "agreement-loss calibration is undefined for constant observed flow"
         )

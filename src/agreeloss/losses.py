@@ -336,9 +336,5 @@ class MetricReport:
             cleaned.append(MetricEntry(e.name, value, e.orientation))
         object.__setattr__(self, "entries", tuple(cleaned))
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
-
     def has_undefined(self) -> bool:
         return any(e.value is None for e in self.entries)

@@ -106,6 +106,26 @@ def std(x) -> float:
     return math.sqrt(variance(x))
 
 
+def _centred_sums(xv: np.ndarray, yv: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Means of two validated vectors and their centred sums ``sxx``, ``syy``, ``sxy``."""
+    mx, my = _mean(xv), _mean(yv)
+    xc = xv - mx
+    yc = yv - my
+    return mx, my, float(np.dot(xc, xc)), float(np.dot(yc, yc)), float(np.dot(xc, yc))
+
+
+def _correlation(sums: tuple[float, float, float, float, float]) -> float:
+    """Pearson correlation from :func:`_centred_sums`; raises as :func:`pearson` does."""
+    _, _, sxx, syy, sxy = sums
+    nx = math.sqrt(sxx)
+    ny = math.sqrt(syy)
+    if not (math.isfinite(nx) and math.isfinite(ny)):
+        raise InvalidInputError("correlation overflows: a centered norm is not finite")
+    if nx == 0.0 or ny == 0.0:
+        raise UndefinedValueError("correlation is undefined for a constant vector")
+    return min(1.0, max(-1.0, sxy / (nx * ny)))
+
+
 def pearson(x, y) -> float:
     """Pearson correlation of two non-constant, equal-length vectors.
 
@@ -119,16 +139,7 @@ def pearson(x, y) -> float:
         raise DimensionMismatchError(
             f"correlation needs equal lengths, got {xv.size} and {yv.size}"
         )
-    xc = xv - np.mean(xv)
-    yc = yv - np.mean(yv)
-    nx = float(np.sqrt(np.dot(xc, xc)))
-    ny = float(np.sqrt(np.dot(yc, yc)))
-    if not (math.isfinite(nx) and math.isfinite(ny)):
-        raise InvalidInputError("correlation overflows: a centered norm is not finite")
-    if nx == 0.0 or ny == 0.0:
-        raise UndefinedValueError("correlation is undefined for a constant vector")
-    r = float(np.dot(xc, yc)) / (nx * ny)
-    return min(1.0, max(-1.0, r))
+    return _correlation(_centred_sums(xv, yv))
 
 
 def lp_mean(y, p) -> float:

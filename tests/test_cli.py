@@ -270,6 +270,43 @@ class TestFitLinear:
         assert out == ""
         assert err == "agreeloss: error: correlation overflows: a centered norm is not finite\n"
 
+    ORDINARY = ([0.0, 1.0, 2.0, 3.0], [0.1, 1.2, 1.9, 3.2])
+    LINE_1E200 = ([0.0, 1.0, 2.0], [0.0, 1e200, 2e200])
+    EDGE_CASES = [
+        # (id, losses, train (x, y), test (x, y) or None, exit code, stderr)
+        ("overflowing-x", ("se", "lnr2", "lw"), ([0.0, 1e200, 2e200], [0.0, 1.0, 2.0]), None,
+         1, "the predictor's centred sum of squares overflows"),
+        ("underflowing-x", ("se", "lnr2", "lw"), ([0.0, 1e-200, 2e-200], [0.0, 1.0, 2.0]), None,
+         2, "the predictor's centred sum of squares underflows"),
+        ("overflowing-mse", ("se",), ([0.0, 1.0, 2.0], [0.0, 1e200, -1e200]), None,
+         1, "least squares overflows: the training MSE is inf"),
+        ("1e200-line", ("se",), LINE_1E200, None, 0, ""),
+        ("overflowing-test-score", ("se",), ORDINARY, ([0.0, 1.0, 2.0], [1e200, -1e200, 3.0]),
+         1, "metric mse is not finite: inf"),
+        ("overflowing-predictions", ("se",), LINE_1E200, ([1e200, 1.0], [0.0, 1.0]),
+         1, "linear fit predictions are not finite"),
+    ]
+    EDGE_PARAMS = [
+        pytest.param(loss, train, test, code, message, id=f"{name}-{loss}")
+        for name, losses, train, test, code, message in EDGE_CASES
+        for loss in losses
+    ]
+
+    @pytest.mark.parametrize("loss,train,test,code,message", EDGE_PARAMS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_and_underflow_named(self, tmp_path, capsys, loss, train, test, code, message):
+        argv = ["fit-linear", "--loss", loss, "--train", write_xy(tmp_path, *train)]
+        if test is not None:
+            argv += ["--test", write_xy(tmp_path, *test, name="test.csv")]
+        got, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert got == code
+        if code == 0:
+            assert err == "" and result_of(out)["slope"] == 1e200
+        else:
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("agreeloss: ")
+            assert message in err
+
     def test_constant_predictor_exit_two(self, tmp_path, capsys):
         path = write_xy(tmp_path, [2.0, 2.0], [1.0, 3.0])
         code, _, _ = run_cli(capsys, "fit-linear", "--loss", "se", "--train", path)

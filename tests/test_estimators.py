@@ -492,6 +492,27 @@ class TestLinearBits:
                 outcomes.append("fit")
         assert len(outcomes) > 50 and set(outcomes) == {"error", "fit"}
 
+    @pytest.mark.parametrize("fn", [fit_linear_ols, fit_linear_lnr2, fit_linear_lw])
+    def test_validates_and_centres_once(self, monkeypatch, fn):
+        calls = {"as_vector": 0, "_centred_sums": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for module in (estimators, vector_stats):
+            monkeypatch.setattr(module, "as_vector", counted("as_vector", module.as_vector))
+        monkeypatch.setattr(
+            estimators, "_centred_sums", counted("_centred_sums", estimators._centred_sums)
+        )
+        rng = np.random.default_rng(62)
+        x = rng.normal(0.0, 1.0, 50)
+        fn(x, 0.5 * x + rng.normal(0.0, 1.0, 50))
+        assert calls == {"as_vector": 2, "_centred_sums": 1}
+
 
 class TestFitLinearOls:
     def test_exact_line(self):
@@ -577,6 +598,14 @@ class TestFitLinearLnr2:
         assert fit.slope == 0.0
         assert fit.intercept == float(np.mean(y))
         assert fit.achieved_loss == 0.5
+
+    @pytest.mark.parametrize("fn", [fit_linear_lnr2, fit_linear_lw])
+    @pytest.mark.parametrize("y", [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], ids=["rho=1", "rho=0"])
+    def test_overflowing_slope_named(self, fn, y):
+        # sxx is subnormal, so sqrt(syy / sxx) overflows whatever the sign of rho.
+        x = np.array([1.0, 2.0, 3.0]) * 2.0**-530
+        with pytest.raises(InvalidInputError, match="norm-ratio fit overflows"):
+            fn(x, y)
 
     def test_constant_inputs_rejected(self):
         with pytest.raises(SingularDesignError):
