@@ -552,7 +552,10 @@ class TestCalibrate:
             "--loss", "se", "--max-iterations", "1",
         )
         assert code == 3
-        assert "converge" in err
+        assert err == (
+            "agreeloss: no convergence: simplex minimization did not converge "
+            "within 1 iterations from any start\n"
+        )
 
     @pytest.mark.parametrize(
         "option, value", [("--max-iterations", MAX_ITERATIONS + 1), ("--restarts", MAX_RESTARTS + 1)]
