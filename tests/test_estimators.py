@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from agreeloss import estimators, vector_stats
+from agreeloss import estimators, hydro, vector_stats
 from agreeloss.estimators import (
     CLOSED_FORM,
     NUMERICAL,
@@ -26,6 +26,7 @@ from agreeloss.estimators import (
     lw_constant_second_derivative,
     minimize,
 )
+from agreeloss.hydro import calibrate
 from agreeloss.exceptions import (
     ConvergenceError,
     DegenerateFitWarning,
@@ -37,6 +38,8 @@ from agreeloss.exceptions import (
 from agreeloss.losses import SeriesPair, _l_w, l_nr2, l_w, mse, nse
 from agreeloss.simulate import Gaussian, Rng, sample
 from agreeloss.vector_stats import mad, mean, pearson, sign, std
+
+from conftest import synthetic_series
 
 
 def central_difference(fn, t, h):
@@ -431,9 +434,8 @@ def per_call_lw(x, y, config):
         return _l_w(z, y) if np.isfinite(z).all() else math.inf
 
     starts = [per_call_ols(x, y)[:2], per_call_lnr2(x, y)[:2]]
-    results = [minimize(objective, np.asarray(start), config) for start in starts]
-    best = best_of_starts(results, config)
-    return float(best.point[0]), float(best.point[1]), best.value
+    point, value, _, _ = reference_minimize(objective, starts, config)
+    return float(point[0]), float(point[1]), value
 
 
 class TestLinearBits:
@@ -512,6 +514,228 @@ class TestLinearBits:
         x = rng.normal(0.0, 1.0, 50)
         fn(x, 0.5 * x + rng.normal(0.0, 1.0, 50))
         assert calls == {"as_vector": 2, "_centred_sums": 1}
+
+
+# The simplex as it ran on numpy arrays, one call per start, before the
+# descent moved onto Python floats and took all starts at once.  Kept as
+# the reference that minimize must match bit for bit.
+REFERENCE_TOLERANCE = 1e-10
+REFERENCE_FIRST_STEP = 0.1
+
+
+def _reference_eval(objective, point):
+    value = float(objective(point))
+    return math.inf if math.isnan(value) else value
+
+
+def _reference_descent(objective, x0, scale, budget):
+    points = [x0.copy()]
+    for i in range(x0.size):
+        p = x0.copy()
+        p[i] += scale * (abs(p[i]) if p[i] != 0.0 else 1.0)
+        points.append(p)
+    values = [_reference_eval(objective, p) for p in points]
+    iters = 0
+    while True:
+        order = sorted(range(len(points)), key=lambda i: values[i])
+        points = [points[i] for i in order]
+        values = [values[i] for i in order]
+        x_spread = max(float(np.max(np.abs(p - points[0]))) for p in points[1:])
+        if x_spread <= REFERENCE_TOLERANCE and values[-1] - values[0] <= REFERENCE_TOLERANCE:
+            return points[0], values[0], iters, True
+        if iters >= budget:
+            return points[0], values[0], iters, False
+        iters += 1
+        centroid = np.mean(points[:-1], axis=0)
+        worst = points[-1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = _reference_eval(objective, reflected)
+        if values[0] <= f_reflected < values[-2]:
+            points[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = _reference_eval(objective, expanded)
+            if f_expanded < f_reflected:
+                points[-1], values[-1] = expanded, f_expanded
+            else:
+                points[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-1]:
+            contracted = centroid + 0.5 * (reflected - centroid)
+            f_contracted = _reference_eval(objective, contracted)
+            if f_contracted <= f_reflected:
+                points[-1], values[-1] = contracted, f_contracted
+                continue
+        else:
+            contracted = centroid + 0.5 * (worst - centroid)
+            f_contracted = _reference_eval(objective, contracted)
+            if f_contracted < values[-1]:
+                points[-1], values[-1] = contracted, f_contracted
+                continue
+        for i in range(1, len(points)):
+            points[i] = points[0] + 0.5 * (points[i] - points[0])
+            values[i] = _reference_eval(objective, points[i])
+
+
+def _reference_one_start(objective, start, config):
+    best_x = np.asarray(start, dtype=float).reshape(-1)
+    best_f = _reference_eval(objective, best_x)
+    assert math.isfinite(best_f)
+    remaining, total, converged, scale = config.max_iterations, 0, False, REFERENCE_FIRST_STEP
+    for _ in range(config.restarts + 1):
+        x_run, f_run, used, ok = _reference_descent(objective, best_x, scale, remaining)
+        total += used
+        remaining -= used
+        if f_run <= best_f:
+            best_x, best_f = x_run, f_run
+        converged = ok
+        if not ok or remaining <= 0:
+            break
+        scale *= 0.5
+    return best_x, best_f, total, converged
+
+
+def reference_minimize(objective, starts, config):
+    """``(point, value, iterations, converged)``; raises ConvergenceError as minimize does."""
+    results = [_reference_one_start(objective, start, config) for start in starts]
+    best = min(results, key=lambda result: result[1])
+    if not any(result[3] for result in results):
+        raise ConvergenceError(
+            f"simplex minimization did not converge within {config.max_iterations} "
+            "iterations from any start",
+            point=best[0],
+            value=best[1],
+        )
+    return best[0], best[1], sum(result[2] for result in results), best[3]
+
+
+def current_minimize(objective, starts, config):
+    results = [minimize(objective, start, config) for start in starts]
+    best = best_of_starts(results, config)
+    return best.point, best.value, sum(result.iterations for result in results), best.converged
+
+
+def _outcome(minimizer, objective, starts, config):
+    """The evaluated points and the result or error of one run, all as bits."""
+    evaluated = []
+
+    def recording(point):
+        evaluated.append(bits(*(float(v) for v in point)))
+        return objective(point)
+
+    try:
+        # The numpy reference warns where vertices overflow; floats do not.
+        with np.errstate(all="ignore"):
+            point, value, iterations, converged = minimizer(recording, starts, config)
+    except ConvergenceError as error:
+        assert isinstance(error.point, np.ndarray)
+        outcome = ("error", str(error), bits(*error.point), bits(error.value))
+    else:
+        assert isinstance(point, np.ndarray) and type(value) is float
+        outcome = ("result", bits(*point), bits(value), iterations, converged)
+    return outcome, evaluated
+
+
+def assert_same_descent(objective, starts, config=MinimizerConfig()):
+    """minimize and the numpy reference evaluate the same points and agree bit for bit."""
+    want = _outcome(reference_minimize, objective, starts, config)
+    got = _outcome(current_minimize, objective, starts, config)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    return want[0][0]
+
+
+def rosenbrock(t):
+    a, b = float(t[0]), float(t[1])
+    return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+
+
+BUDGETS = [MinimizerConfig(max_iterations=1), MinimizerConfig(max_iterations=60), MinimizerConfig()]
+
+
+class TestMinimizeBits:
+    """minimize against the numpy reference: same points, results and errors."""
+
+    @pytest.mark.parametrize("config", BUDGETS, ids=["budget1", "budget60", "default"])
+    def test_constant_profiles(self, config):
+        rng = np.random.default_rng(71)
+        for _ in range(5):
+            y = random_nonconstant(rng)
+            mu, sd = mean(y), std(y)
+            for profile in (lw_constant_profile, lnr2_constant_profile):
+                objective = lambda t: profile(t[0], y)
+                assert_same_descent(objective, [(mu - 0.5 * sd,)], config)
+                assert_same_descent(objective, [(mu + 0.5 * sd,), (mu - 2.0 * sd,)], config)
+
+    def test_linear_lw_objective(self):
+        outcomes = []
+        for i, x, y in TestLinearBits.pairs():
+            if i % 10 or x.size > 2_000:
+                continue
+
+            def objective(theta):
+                z = theta[0] * x + theta[1]
+                return _l_w(z, y) if np.isfinite(z).all() else math.inf
+
+            starts = [per_call_ols(x, y)[:2], per_call_lnr2(x, y)[:2]]
+            config = BUDGETS[(i // 10) % 3]
+            outcomes.append(assert_same_descent(objective, starts, config))
+        assert len(outcomes) >= 50 and set(outcomes) == {"error", "result"}
+
+    @pytest.mark.parametrize("loss", ["se", "lnr2", "lw"])
+    def test_bucket_calibration_objective(self, loss, monkeypatch):
+        series = synthetic_series(120, noise=0.3, start="2000-01-01")
+        spans = ("2000-01-21", "2000-02-29"), ("2000-03-01", "2000-04-29")
+        captured = []
+
+        def capture(objective, *args, **kwargs):
+            captured.append(objective)
+            raise LookupError
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hydro, "minimize", capture)
+            with pytest.raises(LookupError):
+                calibrate(series, 20, *spans, loss)
+        objective = captured[0]
+        default_starts = [hydro._point_from_params(p) for p in hydro.DEFAULT_STARTS]
+        refit = calibrate(series, 20, *spans, "lw" if loss == "se" else "se").params
+        outcomes = [
+            assert_same_descent(objective, default_starts, config) for config in BUDGETS
+        ]
+        outcomes.append(assert_same_descent(objective, [hydro._point_from_params(refit)]))
+        assert outcomes == ["error", "error", "result", "result"]
+
+    @pytest.mark.parametrize("config", BUDGETS, ids=["budget1", "budget60", "default"])
+    def test_rosenbrock(self, config):
+        assert_same_descent(rosenbrock, [(-1.2, 1.0)], config)
+        assert_same_descent(rosenbrock, [(-1.2, 1.0), (2.0, -0.5), (-1.2, 1.0)], config)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_half_plane(self, bad):
+        objective = lambda t: bad if t[0] > 1.0 else rosenbrock(t)
+        assert assert_same_descent(objective, [(0.5, 0.5)]) == "result"
+        for config in BUDGETS[:2]:
+            assert_same_descent(objective, [(0.5, 0.5), (-1.0, 2.0)], config)
+
+    def test_unbounded_descent_reaches_non_finite_points(self):
+        # The simplex expands until its vertices overflow and their
+        # differences turn NaN.
+        coordinates = set()
+
+        def downhill(t):
+            coordinates.update(float(v) for v in t)
+            return -float(t[0]) - float(t[1])
+
+        assert assert_same_descent(downhill, [(0.0, 0.0)]) == "error"
+        assert math.inf in coordinates and any(math.isnan(v) for v in coordinates)
+
+    def test_signed_zero_starts(self):
+        bowl = lambda t: sum((float(v) - 0.25) ** 2 for v in t)
+        for starts in ([(-0.0,)], [(0.0,), (-0.0,)], [(-0.0, 0.0, -0.0)], [(0.0, -0.0), (-0.0, -0.0)]):
+            for config in BUDGETS + [MinimizerConfig(restarts=0), MinimizerConfig(restarts=5)]:
+                assert_same_descent(bowl, starts, config)
+        assert_same_descent(lambda t: abs(float(t[0])) + 0.0 * float(t[1]), [(-0.0, -0.0)])
 
 
 class TestFitLinearOls:
