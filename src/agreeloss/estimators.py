@@ -52,7 +52,6 @@ __all__ = [
     "MinimizeResult",
     "MinimizerConfig",
     "NUMERICAL",
-    "best_of_starts",
     "fit_constant_lnr2",
     "fit_constant_lw",
     "fit_linear_lnr2",
@@ -71,23 +70,25 @@ CLOSED_FORM = "closed_form"
 NUMERICAL = "numerical"
 
 
+# Fixed settings of the simplex.  A descent converges when no vertex is
+# farther than _X_TOLERANCE from the best in any coordinate and the values
+# span at most _F_TOLERANCE; the first simplex steps each coordinate by
+# _FIRST_STEP of its size (by _FIRST_STEP itself at zero).
+_X_TOLERANCE = 1e-10
+_F_TOLERANCE = 1e-10
+_FIRST_STEP = 0.1
+
+
 @dataclass(frozen=True)
 class MinimizerConfig:
-    """Settings of the embedded simplex minimizer."""
+    """Budget of the embedded simplex minimizer, per start."""
 
     max_iterations: int = 10_000
-    x_tolerance: float = 1e-10
-    f_tolerance: float = 1e-10
-    initial_simplex_scale: float = 0.1
     restarts: int = 2
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
-        if self.x_tolerance <= 0.0 or self.f_tolerance <= 0.0:
-            raise InvalidInputError("tolerances must be positive")
-        if self.initial_simplex_scale <= 0.0:
-            raise InvalidInputError("initial_simplex_scale must be positive")
         if self.restarts < 0:
             raise InvalidInputError("restarts must be non-negative")
 
@@ -126,47 +127,54 @@ class LinearFitResult:
         return z
 
 
-def _eval(objective, point: np.ndarray) -> float:
+def _eval(objective, point: list[float]) -> float:
     value = float(objective(point))
     return math.inf if math.isnan(value) else value
 
 
-def _initial_simplex(x0: np.ndarray, scale: float) -> list[np.ndarray]:
-    points = [x0.copy()]
-    for i in range(x0.size):
-        p = x0.copy()
-        step = scale * (abs(p[i]) if p[i] != 0.0 else 1.0)
-        p[i] += step
-        points.append(p)
-    return points
+def _spread(p: list[float], best: list[float]) -> float:
+    """Largest coordinate distance of ``p`` from ``best``; NaN if one is NaN."""
+    d = [abs(a - b) for a, b in zip(p, best)]
+    return math.nan if any(map(math.isnan, d)) else max(d)
 
 
-def _nelder_mead(objective, x0, scale, budget, x_tol, f_tol):
+def _nelder_mead(objective, x0: list[float], scale: float, budget: int):
     """One simplex descent; returns (best_point, best_value, iters, converged)."""
-    points = _initial_simplex(x0, scale)
+    n = len(x0)
+    points = [x0]
+    for i in range(n):
+        p = list(x0)
+        p[i] += scale * (abs(p[i]) if p[i] != 0.0 else 1.0)
+        points.append(p)
     values = [_eval(objective, p) for p in points]
     iters = 0
     while True:
-        order = sorted(range(len(points)), key=lambda i: values[i])
+        order = sorted(range(n + 1), key=values.__getitem__)
         points = [points[i] for i in order]
         values = [values[i] for i in order]
-        x_spread = max(float(np.max(np.abs(p - points[0]))) for p in points[1:])
-        f_spread = values[-1] - values[0]
-        if x_spread <= x_tol and f_spread <= f_tol:
-            return points[0], values[0], iters, True
+        best = points[0]
+        x_spread = max(_spread(p, best) for p in points[1:])
+        if x_spread <= _X_TOLERANCE and values[-1] - values[0] <= _F_TOLERANCE:
+            return best, values[0], iters, True
         if iters >= budget:
-            return points[0], values[0], iters, False
+            return best, values[0], iters, False
         iters += 1
 
-        centroid = np.mean(points[:-1], axis=0)
+        # Summed in vertex order from +0.0, then divided by n, as numpy's
+        # mean over rows rounds (-0.0 coordinates sum to +0.0).  sum()
+        # is not used: Python 3.12 compensates its rounding errors.
+        centroid = [0.0] * n
+        for p in points[:-1]:
+            centroid = [c + v for c, v in zip(centroid, p)]
+        centroid = [c / n for c in centroid]
         worst = points[-1]
-        reflected = centroid + (centroid - worst)
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         f_reflected = _eval(objective, reflected)
         if values[0] <= f_reflected < values[-2]:
             points[-1], values[-1] = reflected, f_reflected
             continue
         if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             f_expanded = _eval(objective, expanded)
             if f_expanded < f_reflected:
                 points[-1], values[-1] = expanded, f_expanded
@@ -174,82 +182,85 @@ def _nelder_mead(objective, x0, scale, budget, x_tol, f_tol):
                 points[-1], values[-1] = reflected, f_reflected
             continue
         if f_reflected < values[-1]:
-            contracted = centroid + 0.5 * (reflected - centroid)
+            contracted = [c + 0.5 * (r - c) for c, r in zip(centroid, reflected)]
             f_contracted = _eval(objective, contracted)
             if f_contracted <= f_reflected:
                 points[-1], values[-1] = contracted, f_contracted
                 continue
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
+            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
             f_contracted = _eval(objective, contracted)
             if f_contracted < values[-1]:
                 points[-1], values[-1] = contracted, f_contracted
                 continue
         # Shrink toward the best vertex.
-        for i in range(1, len(points)):
-            points[i] = points[0] + 0.5 * (points[i] - points[0])
+        for i in range(1, n + 1):
+            points[i] = [b + 0.5 * (v - b) for b, v in zip(best, points[i])]
             values[i] = _eval(objective, points[i])
 
 
-def minimize(objective, start, config: MinimizerConfig | None = None) -> MinimizeResult:
+def minimize(objective, starts, config: MinimizerConfig | None = None) -> MinimizeResult:
     """Derivative-free minimization by Nelder-Mead simplex descent.
 
-    Deterministic for identical inputs.  After each converged descent the
-    simplex is rebuilt around the best point at half the scale
-    (``config.restarts`` times) to escape premature collapse.
+    ``starts`` is a non-empty sequence of equal-length finite points, and
+    ``objective`` receives each point as a list of floats.  From each start
+    in turn, with ``config.max_iterations`` iterations each, the simplex
+    descends; after each converged descent it is rebuilt around the best
+    point at half the previous first step (``config.restarts`` times) to
+    escape premature collapse.  Returns the first lowest-valued of the
+    starts' results, with ``iterations`` summed over all starts.
+    Deterministic for identical inputs.
 
     Raises:
-        InvalidInputError: the objective is not finite at ``start``.
+        InvalidInputError: ``starts`` is not such a sequence, or the
+            objective is not finite at a start.
+        ConvergenceError: no start converged within its budget; the error
+            carries the best iterate found.
     """
     cfg = config if config is not None else MinimizerConfig()
-    x0 = np.asarray(start, dtype=float).reshape(-1)
-    if x0.size == 0:
-        raise InvalidInputError("start point must have at least one coordinate")
-    if not np.all(np.isfinite(x0)):
-        raise InvalidInputError("start point must be finite")
-    f0 = _eval(objective, x0)
-    if not math.isfinite(f0):
-        raise InvalidInputError("objective is not finite at the start point")
+    try:
+        points = np.asarray(starts, dtype=float)
+    except (TypeError, ValueError):
+        points = None
+    if points is None or points.ndim != 2 or points.size == 0:
+        raise InvalidInputError("starts must be a non-empty sequence of equal-length points")
+    if not np.isfinite(points).all():
+        raise InvalidInputError("start points must be finite")
 
-    best_x, best_f = x0, f0
-    remaining = cfg.max_iterations
-    total_iters = 0
-    converged = False
-    scale = cfg.initial_simplex_scale
-    for _ in range(cfg.restarts + 1):
-        x_run, f_run, used, ok = _nelder_mead(
-            objective, best_x, scale, remaining, cfg.x_tolerance, cfg.f_tolerance
-        )
-        total_iters += used
-        remaining -= used
-        if f_run <= best_f:
-            best_x, best_f = x_run, f_run
-        converged = ok
-        # Stop on exhausted budget; a converged final run stays converged.
-        if not ok or remaining <= 0:
-            break
-        scale *= 0.5
-    return MinimizeResult(
-        point=best_x, value=best_f, iterations=total_iters, converged=converged
-    )
+    results = []
+    for x0 in points.tolist():
+        best_x, best_f = x0, _eval(objective, x0)
+        if not math.isfinite(best_f):
+            raise InvalidInputError("objective is not finite at the start point")
+        remaining = cfg.max_iterations
+        iterations = 0
+        scale = _FIRST_STEP
+        for _ in range(cfg.restarts + 1):
+            x_run, f_run, used, converged = _nelder_mead(objective, best_x, scale, remaining)
+            iterations += used
+            remaining -= used
+            if f_run <= best_f:
+                best_x, best_f = x_run, f_run
+            # Stop on exhausted budget; a converged final run stays converged.
+            if not converged or remaining <= 0:
+                break
+            scale *= 0.5
+        results.append((best_x, best_f, iterations, converged))
 
-
-def best_of_starts(results: list[MinimizeResult], config: MinimizerConfig) -> MinimizeResult:
-    """The first lowest-valued of several descents from different starts.
-
-    Raises:
-        ConvergenceError: no descent converged within the iteration budget;
-            the error carries the best iterate found.
-    """
-    best = min(results, key=lambda result: result.value)
-    if not any(result.converged for result in results):
+    best_x, best_f, _, converged = min(results, key=lambda result: result[1])
+    if not any(result[3] for result in results):
         raise ConvergenceError(
-            f"simplex minimization did not converge within {config.max_iterations} "
+            f"simplex minimization did not converge within {cfg.max_iterations} "
             "iterations from any start",
-            point=best.point,
-            value=best.value,
+            point=np.array(best_x),
+            value=best_f,
         )
-    return best
+    return MinimizeResult(
+        point=np.array(best_x),
+        value=best_f,
+        iterations=sum(result[2] for result in results),
+        converged=converged,
+    )
 
 
 def _moments(y) -> tuple[float, float, float]:
@@ -477,21 +488,17 @@ def fit_linear_lw(x, y, config: MinimizerConfig | None = None) -> LinearFitResul
         ConvergenceError: no descent converged within the iteration budget;
             the error carries the best iterate found.
     """
-    cfg = config if config is not None else MinimizerConfig()
     xv, yv, sums = _line_sums(x, y)
     rho = _correlation(sums)
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: list[float]) -> float:
         z = theta[0] * xv + theta[1]
         if not np.isfinite(z).all():
             return math.inf
         # yv is validated and non-constant, so l_w is defined on every z.
         return _l_w(z, yv)
 
-    starts = [_ols_line(*sums), _nr2_line(rho, *sums)]
-    best = best_of_starts(
-        [minimize(objective, np.asarray(start, dtype=float), cfg) for start in starts], cfg
-    )
+    best = minimize(objective, [_ols_line(*sums), _nr2_line(rho, *sums)], config)
     return LinearFitResult(
         slope=float(best.point[0]),
         intercept=float(best.point[1]),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MinimizerConfig, best_of_starts, minimize
+from .estimators import MinimizerConfig, minimize
 from .exceptions import (
     CsvFormatError,
     InvalidInputError,
@@ -341,7 +341,6 @@ def calibrate(
     """
     if loss not in LOSS_METRICS:
         raise InvalidInputError(f"unknown calibration loss {loss!r}")
-    cfg = config if config is not None else MinimizerConfig()
     cal, val = _resolve_spans(series, warmup_days, cal_span, val_span)
     kernel = _METRIC_KERNELS[LOSS_METRICS[loss]]
     # HydroSeries guarantees finite flows; a non-constant observed span
@@ -357,7 +356,7 @@ def calibrate(
     precip_cal = series.precip[: cal.stop]
     pet_cal = series.pet[: cal.stop]
 
-    def objective(point: np.ndarray) -> float:
+    def objective(point: list[float]) -> float:
         try:
             params = _params_from_point(point)
         except InvalidInputError:
@@ -371,9 +370,7 @@ def calibrate(
             return math.inf
 
     start_params = tuple(starts) if starts is not None else DEFAULT_STARTS
-    best = best_of_starts(
-        [minimize(objective, _point_from_params(p), cfg) for p in start_params], cfg
-    )
+    best = minimize(objective, [_point_from_params(p) for p in start_params], config)
 
     fitted = _params_from_point(best.point)
     trace = run_bucket(fitted, series.precip, series.pet, fitted.capacity / 2.0)

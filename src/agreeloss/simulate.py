@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MinimizerConfig, fit_linear_lnr2, fit_linear_lw, fit_linear_ols
+from .estimators import fit_linear_lnr2, fit_linear_lw, fit_linear_ols
 from .exceptions import InvalidInputError, UndefinedValueError
 from .losses import SeriesPair, l_nr2, l_w, mse, nse, v_mean_avg
 from .vector_stats import mean, pearson, std
@@ -332,7 +332,6 @@ def run_linear_experiment(
     n_total: int,
     split: int,
     rng: Rng,
-    config: MinimizerConfig | None = None,
 ) -> ExperimentReport:
     """Linear-model experiment with a skewed predictor and skewed noise.
 
@@ -359,7 +358,7 @@ def run_linear_experiment(
     fits = (
         ("model_1", fit_linear_ols(x_train, y_train)),
         ("model_2", fit_linear_lnr2(x_train, y_train)),
-        ("model_3", fit_linear_lw(x_train, y_train, config)),
+        ("model_3", fit_linear_lw(x_train, y_train)),
     )
     rows = []
     for name, fit in fits:

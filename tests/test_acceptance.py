@@ -152,7 +152,7 @@ def test_criterion_5_linear_closed_form():
         # The closed form must beat or tie a simplex search from least squares.
         ols = fit_linear_ols(x, y)
         objective = lambda t: l_nr2(SeriesPair(t[0] * x + t[1], y))
-        numeric = minimize(objective, (ols.slope, ols.intercept))
+        numeric = minimize(objective, [(ols.slope, ols.intercept)])
         assert fit.achieved_loss <= numeric.value + 1e-8
     _report(5, "norm-ratio linear closed form is optimal")
 

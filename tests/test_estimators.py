@@ -12,7 +12,6 @@ from agreeloss.estimators import (
     CLOSED_FORM,
     NUMERICAL,
     MinimizerConfig,
-    best_of_starts,
     fit_constant_lnr2,
     fit_constant_lw,
     fit_linear_lnr2,
@@ -52,28 +51,28 @@ def random_nonconstant(rng, n=50, loc=0.0, scale=1.0):
 
 class TestMinimize:
     def test_quadratic_bowl(self):
-        result = minimize(lambda t: (t[0] - 3.0) ** 2 + (t[1] + 1.0) ** 2, (0.0, 0.0))
+        result = minimize(lambda t: (t[0] - 3.0) ** 2 + (t[1] + 1.0) ** 2, [(0.0, 0.0)])
         assert result.converged
         np.testing.assert_allclose(result.point, [3.0, -1.0], atol=1e-6)
         assert result.value <= 1e-10
 
     def test_invalid_start_rejected(self):
         with pytest.raises(InvalidInputError):
-            minimize(lambda t: float("nan"), (0.0,))
+            minimize(lambda t: float("nan"), [(0.0,)])
         with pytest.raises(InvalidInputError):
-            minimize(lambda t: t[0], (float("inf"),))
+            minimize(lambda t: t[0], [(float("inf"),)])
 
     def test_deterministic(self):
         fn = lambda t: (t[0] - 1.0) ** 4 + abs(t[1])
-        a = minimize(fn, (5.0, 2.0))
-        b = minimize(fn, (5.0, 2.0))
+        a = minimize(fn, [(5.0, 2.0)])
+        b = minimize(fn, [(5.0, 2.0)])
         assert a.value == b.value
         np.testing.assert_array_equal(a.point, b.point)
 
     def test_budget_exhaustion_flags_nonconvergence(self):
         cfg = MinimizerConfig(max_iterations=2)
-        result = minimize(lambda t: (t[0] - 3.0) ** 2, (100.0,), cfg)
-        assert not result.converged
+        with pytest.raises(ConvergenceError):
+            minimize(lambda t: (t[0] - 3.0) ** 2, [(100.0,)], cfg)
 
     def test_recovers_lnr2_constant_minimum_from_upper_start(self):
         # Closed form gives mean + sd; the numerical route must agree.
@@ -81,7 +80,7 @@ class TestMinimize:
         for _ in range(10):
             y = random_nonconstant(rng)
             mu, sd = mean(y), std(y)
-            result = minimize(lambda t: lnr2_constant_profile(t[0], y), (mu + 0.5 * sd,))
+            result = minimize(lambda t: lnr2_constant_profile(t[0], y), [(mu + 0.5 * sd,)])
             assert abs(result.point[0] - (mu + sd)) <= 1e-6
             assert abs(result.value - 0.5) <= 1e-9
 
@@ -90,15 +89,13 @@ class TestMinimize:
         for _ in range(10):
             y = random_nonconstant(rng)
             mu, sd, md = mean(y), std(y), mad(y)
-            result = minimize(lambda t: lw_constant_profile(t[0], y), (mu - 0.5 * sd,))
+            result = minimize(lambda t: lw_constant_profile(t[0], y), [(mu - 0.5 * sd,)])
             assert abs(result.point[0] - (mu - sd)) <= 1e-6
             assert abs(result.value - sd / (sd + md)) <= 1e-9
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             MinimizerConfig(max_iterations=0)
-        with pytest.raises(InvalidInputError):
-            MinimizerConfig(x_tolerance=0.0)
         with pytest.raises(InvalidInputError):
             MinimizerConfig(restarts=-1)
 
@@ -113,10 +110,10 @@ class TestClosedFormNumericalAgreement:
             mu, sd, md = mean(y), std(y), mad(y)
             for side in (-1.0, 1.0):
                 start = (mu + side * 0.5 * sd,)
-                nr = minimize(lambda t: lnr2_constant_profile(t[0], y), start)
+                nr = minimize(lambda t: lnr2_constant_profile(t[0], y), [start])
                 assert abs(nr.point[0] - (mu + side * sd)) <= 1e-6
                 assert abs(nr.value - 0.5) <= 1e-9
-                lw = minimize(lambda t: lw_constant_profile(t[0], y), start)
+                lw = minimize(lambda t: lw_constant_profile(t[0], y), [start])
                 assert abs(lw.point[0] - (mu + side * sd)) <= 1e-6
                 assert abs(lw.value - sd / (sd + md)) <= 1e-9
 
@@ -611,9 +608,8 @@ def reference_minimize(objective, starts, config):
 
 
 def current_minimize(objective, starts, config):
-    results = [minimize(objective, start, config) for start in starts]
-    best = best_of_starts(results, config)
-    return best.point, best.value, sum(result.iterations for result in results), best.converged
+    result = minimize(objective, starts, config)
+    return result.point, result.value, result.iterations, result.converged
 
 
 def _outcome(minimizer, objective, starts, config):
@@ -787,7 +783,7 @@ class TestFitLinearLnr2:
         assert math.isclose(fit.achieved_loss, 0.25, rel_tol=1e-12)
         # Cross-check against a numerical search over (slope, intercept).
         objective = lambda t: l_nr2(SeriesPair(t[0] * x + t[1], y))
-        numeric = minimize(objective, (fit.slope + 0.4, fit.intercept - 0.4))
+        numeric = minimize(objective, [(fit.slope + 0.4, fit.intercept - 0.4)])
         assert fit.achieved_loss <= numeric.value + 1e-8
 
     def test_rescoring_reproduces_achieved_loss(self):
