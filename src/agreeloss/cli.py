@@ -16,11 +16,14 @@ Exit codes: 0 success, 1 input error, 2 mathematically undefined request,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,7 @@ from .estimators import (
 from .exceptions import (
     ConvergenceError,
     CsvFormatError,
+    DegenerateFitWarning,
     InvalidInputError,
     UndefinedValueError,
 )
@@ -377,6 +381,10 @@ def cmd_profile(args) -> Output:
     (y,) = read_csv(args.input, ("y",))
     if args.steps < 2:
         raise InvalidInputError("profile grid needs at least 2 steps")
+    # Also rejects a non-finite bound and a range whose width overflows.
+    if not math.isfinite(args.theta_max - args.theta_min):
+        raise InvalidInputError(f"--min {args.theta_min} and --max {args.theta_max} "
+                                "must span a finite range")
     if not args.theta_min < args.theta_max:
         raise InvalidInputError("--min must be smaller than --max")
     if args.loss == "lw":
@@ -385,10 +393,13 @@ def cmd_profile(args) -> Output:
     else:
         profile = lnr2_constant_profile
         fit = fit_constant_lnr2(y)
-    grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-    points = [(float(theta), profile(float(theta), y), "") for theta in grid]
+    grid = [float(theta) for theta in np.linspace(args.theta_min, args.theta_max, args.steps)]
+    points = [(theta, profile(theta, y), "") for theta in grid]
     points.append((fit.theta_minus, profile(fit.theta_minus, y), "minimum"))
     points.append((fit.theta_plus, profile(fit.theta_plus, y), "minimum"))
+    for theta, loss, _ in points:
+        if not math.isfinite(loss):
+            raise InvalidInputError(f"the {args.loss} profile is not finite at theta = {theta}")
     points.sort(key=lambda item: item[0])
     result = {
         "loss": args.loss,
@@ -595,6 +606,14 @@ def _resolve_format(args) -> str:
     return env
 
 
+def _show_warning(show, message, category, *args, **kwargs) -> None:
+    """One ``agreeloss: warning:`` line for a degenerate fit; ``show`` prints the rest."""
+    if issubclass(category, DegenerateFitWarning):
+        sys.stderr.write(f"{PROG}: warning: {message}\n")
+    else:
+        show(message, category, *args, **kwargs)
+
+
 def main(argv=None) -> int:
     try:
         parser = build_parser()
@@ -603,7 +622,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         fmt = _resolve_format(args)
-        output = args.handler(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", DegenerateFitWarning)
+            warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+            output = args.handler(args)
         sys.stdout.write(render(output, fmt))
         return output.exit_code
     except UndefinedValueError as exc:

@@ -40,7 +40,7 @@ from .exceptions import (
 # The descents call the _l_w kernel on validated vectors and build no
 # SeriesPair.  The name stays bound here because perfbench's tracer counts
 # SeriesPair builds through it in each module that may build one.
-from .losses import SeriesPair, _l_w, _mse  # noqa: F401
+from .losses import SeriesPair, _l_w, _mse, _power  # noqa: F401
 from .vector_stats import (
     _centred_sums, _constant, _correlation, _mad, _mean, _variance, as_vector, sign
 )
@@ -71,11 +71,10 @@ NUMERICAL = "numerical"
 
 
 # Fixed settings of the simplex.  A descent converges when no vertex is
-# farther than _X_TOLERANCE from the best in any coordinate and the values
-# span at most _F_TOLERANCE; the first simplex steps each coordinate by
+# farther than _TOLERANCE from the best in any coordinate and the values
+# span at most _TOLERANCE; the first simplex steps each coordinate by
 # _FIRST_STEP of its size (by _FIRST_STEP itself at zero).
-_X_TOLERANCE = 1e-10
-_F_TOLERANCE = 1e-10
+_TOLERANCE = 1e-10
 _FIRST_STEP = 0.1
 
 
@@ -154,15 +153,14 @@ def _nelder_mead(objective, x0: list[float], scale: float, budget: int):
         values = [values[i] for i in order]
         best = points[0]
         x_spread = max(_spread(p, best) for p in points[1:])
-        if x_spread <= _X_TOLERANCE and values[-1] - values[0] <= _F_TOLERANCE:
+        if x_spread <= _TOLERANCE and values[-1] - values[0] <= _TOLERANCE:
             return best, values[0], iters, True
         if iters >= budget:
             return best, values[0], iters, False
         iters += 1
 
-        # Summed in vertex order from +0.0, then divided by n, as numpy's
-        # mean over rows rounds (-0.0 coordinates sum to +0.0).  sum()
-        # is not used: Python 3.12 compensates its rounding errors.
+        # Summed in vertex order from +0.0, then divided by n, as numpy's mean
+        # over rows rounds; not sum(), whose rounding Python 3.12 compensates.
         centroid = [0.0] * n
         for p in points[:-1]:
             centroid = [c + v for c, v in zip(centroid, p)]
@@ -233,11 +231,9 @@ def minimize(objective, starts, config: MinimizerConfig | None = None) -> Minimi
         if not math.isfinite(best_f):
             raise InvalidInputError("objective is not finite at the start point")
         remaining = cfg.max_iterations
-        iterations = 0
         scale = _FIRST_STEP
         for _ in range(cfg.restarts + 1):
             x_run, f_run, used, converged = _nelder_mead(objective, best_x, scale, remaining)
-            iterations += used
             remaining -= used
             if f_run <= best_f:
                 best_x, best_f = x_run, f_run
@@ -245,7 +241,7 @@ def minimize(objective, starts, config: MinimizerConfig | None = None) -> Minimi
             if not converged or remaining <= 0:
                 break
             scale *= 0.5
-        results.append((best_x, best_f, iterations, converged))
+        results.append((best_x, best_f, cfg.max_iterations - remaining, converged))
 
     best_x, best_f, _, converged = min(results, key=lambda result: result[1])
     if not any(result[3] for result in results):
@@ -268,12 +264,27 @@ def _moments(y) -> tuple[float, float, float]:
 
     ``y`` is validated once and its mean taken once; the moments are the
     ones :mod:`vector_stats` computes.
+
+    Raises:
+        InvalidInputError: a moment or ``mean +/- std`` overflows.
+        UndefinedValueError: ``y`` is constant or its variance underflows to zero.
     """
     arr = as_vector(y)
     if _constant(arr):
         raise UndefinedValueError("observations must be non-constant")
-    mu = _mean(arr)
-    return mu, math.sqrt(_variance(arr, mu)), _mad(arr, mu)
+    # An overflow is rejected by name below; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _mean(arr)
+        var = _variance(arr, mu)
+        md = _mad(arr, mu)
+    sd = math.sqrt(var)
+    if not all(map(math.isfinite, (mu, var, md, mu + sd, mu - sd))):
+        raise InvalidInputError(
+            f"moments of the observations overflow: mean {mu}, variance {var}, mad {md}"
+        )
+    if var == 0.0:
+        raise UndefinedValueError("the variance of the observations underflows to zero")
+    return mu, sd, md
 
 
 def fit_constant_lw(y) -> ConstantFitResult:
@@ -307,21 +318,25 @@ def lw_constant_profile(theta: float, y) -> float:
 
     ``(u^2 + sd^2) / (u^2 + sd^2 + 2|u| mad)`` with ``u = theta - mean(y)``.
     Equals 1 at ``theta = mean(y)`` and tends to 1 as ``theta -> +/-inf``.
+    NaN, not a spurious 0, where the denominator overflows.
     """
     mu, sd, md = _moments(y)
     u = float(theta) - mu
-    sd2 = sd**2
-    return (u * u + sd2) / (u * u + sd2 + 2.0 * abs(u) * md)
+    num = u * u + sd**2
+    den = num + 2.0 * abs(u) * md
+    return math.nan if den == math.inf else num / den
 
 
 def lnr2_constant_profile(theta: float, y) -> float:
     """Norm-ratio loss of the constant prediction ``theta``.
 
-    ``(u^2 + sd^2) / (|u| + sd)^2`` with ``u = theta - mean(y)``.
+    ``(u^2 + sd^2) / (|u| + sd)^2`` with ``u = theta - mean(y)``; NaN
+    where the denominator overflows.
     """
     mu, sd, _ = _moments(y)
     u = float(theta) - mu
-    return (u * u + sd * sd) / (abs(u) + sd) ** 2
+    den = _power(abs(u) + sd, 2)
+    return math.nan if den == math.inf else (u * u + sd * sd) / den
 
 
 def lw_constant_derivative(theta: float, y) -> float:
@@ -411,7 +426,10 @@ def _line_sums(x, y, ols: bool = False):
         raise SingularDesignError(f"{fit} requires a non-constant predictor")
     if not ols and _constant(yv):
         raise UndefinedValueError("linear fit requires non-constant observations")
-    sums = _centred_sums(xv, yv)
+    # An overflowing sum is rejected by name here or by the caller; numpy's
+    # warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _centred_sums(xv, yv)
     sxx = sums[2]
     if not math.isfinite(sxx):
         raise InvalidInputError(f"{fit}: the predictor's centred sum of squares overflows")
@@ -439,7 +457,8 @@ def fit_linear_ols(x, y) -> LinearFitResult:
     """Ordinary least squares; ``achieved_loss`` is the training MSE, which must be finite."""
     xv, yv, sums = _line_sums(x, y, ols=True)
     slope, intercept = _ols_line(*sums)
-    loss = _mse(slope * xv + intercept, yv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = _mse(slope * xv + intercept, yv)
     if not math.isfinite(loss):
         raise InvalidInputError(f"least squares overflows: the training MSE is {loss}")
     return LinearFitResult(

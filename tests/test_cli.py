@@ -212,6 +212,23 @@ class TestFitConstant:
         assert code == 2
         assert "non-constant" in err
 
+    @pytest.mark.parametrize("loss", ["lw", "lnr2"])
+    @pytest.mark.parametrize(
+        "y, code, err",
+        [
+            ([1e200, -1e200, 0.0], 1, "agreeloss: error: moments of the observations overflow: "
+             "mean 0.0, variance inf, mad 6.666666666666667e+199\n"),
+            ([1e-320, 0.0, 0.0], 2,
+             "agreeloss: undefined: the variance of the observations underflows to zero\n"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_moments_out_of_range_named(self, tmp_path, capsys, loss, y, code, err):
+        path = write_series(tmp_path, y)
+        got = run_cli(capsys, "fit-constant", "--loss", loss, "--input", path, "--format", "json")
+        assert got == (code, "", err)
+
 
 class TestFitLinear:
     def test_ols_perfect_line(self, tmp_path, capsys):
@@ -307,6 +324,18 @@ class TestFitLinear:
             assert err.count("\n") == 1 and err.startswith("agreeloss: ")
             assert message in err
 
+    def test_degenerate_fit_warns_on_one_line(self, tmp_path, capsys):
+        path = write_xy(tmp_path, [1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
+        code, out, err = run_cli(
+            capsys, "fit-linear", "--loss", "lnr2", "--train", path, "--format", "json"
+        )
+        assert code == 0
+        assert result_of(out)["degenerate"] is True
+        assert err == (
+            "agreeloss: warning: zero correlation: slope sign is undefined, "
+            "returning the flat fit\n"
+        )
+
     def test_constant_predictor_exit_two(self, tmp_path, capsys):
         path = write_xy(tmp_path, [2.0, 2.0], [1.0, 3.0])
         code, _, _ = run_cli(capsys, "fit-linear", "--loss", "se", "--train", path)
@@ -377,6 +406,30 @@ class TestProfile:
             "--min", "0", "--max", "1", "--steps", "3",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("loss", ["lw", "lnr2"])
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [
+            ("-inf", "0", "--min -inf and --max 0.0 must span a finite range"),
+            ("0", "inf", "--min 0.0 and --max inf must span a finite range"),
+            ("nan", "0", "--min nan and --max 0.0 must span a finite range"),
+            ("-1e308", "1e308", "--min -1e+308 and --max 1e+308 must span a finite range"),
+            # (theta - mean)^2 overflows.
+            ("-1e200", "1e200", "the {loss} profile is not finite at theta = -1e+200"),
+            # Only the profile's denominator overflows.
+            ("0", "1.347e154", "the {loss} profile is not finite at theta = 1.347e+154"),
+        ],
+        ids=["min-inf", "max-inf", "min-nan", "step-overflow", "square-overflow", "den-overflow"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_grid_named(self, tmp_path, capsys, loss, low, high, message):
+        path = write_series(tmp_path, [0.0, 1e152, 2e152])
+        got = run_cli(
+            capsys, "profile", "--loss", loss, "--input", path,
+            f"--min={low}", f"--max={high}", "--steps", "2", "--format", "json",
+        )
+        assert got == (1, "", f"agreeloss: error: {message.format(loss=loss)}\n")
 
 
 class TestExperiment:

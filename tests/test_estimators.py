@@ -62,6 +62,15 @@ class TestMinimize:
         with pytest.raises(InvalidInputError):
             minimize(lambda t: t[0], [(float("inf"),)])
 
+    @pytest.mark.parametrize(
+        "starts",
+        [(0.0, 0.0), [], [()], [(0.0,), (0.0, 1.0)], [[(0.0,)]], "ab"],
+        ids=["flat-tuple", "no-start", "empty-point", "ragged", "nested", "text"],
+    )
+    def test_starts_rejected_by_shape(self, starts):
+        with pytest.raises(InvalidInputError, match="equal-length points"):
+            minimize(lambda t: 0.0, starts)
+
     def test_deterministic(self):
         fn = lambda t: (t[0] - 1.0) ** 4 + abs(t[1])
         a = minimize(fn, [(5.0, 2.0)])
@@ -825,6 +834,15 @@ class TestFitLinearLnr2:
         # sxx is subnormal, so sqrt(syy / sxx) overflows whatever the sign of rho.
         x = np.array([1.0, 2.0, 3.0]) * 2.0**-530
         with pytest.raises(InvalidInputError, match="norm-ratio fit overflows"):
+            fn(x, y)
+
+    @pytest.mark.parametrize("fn", [fit_linear_ols, fit_linear_lnr2, fit_linear_lw])
+    @pytest.mark.parametrize("overflowing", ["x", "y"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_rejected_without_numpy_warnings(self, fn, overflowing):
+        ordinary, huge = [0.0, 1.0, 2.0], [0.0, 1e200, -1e200]
+        x, y = (huge, ordinary) if overflowing == "x" else (ordinary, huge)
+        with pytest.raises(InvalidInputError, match="overflows"):
             fn(x, y)
 
     def test_constant_inputs_rejected(self):

@@ -20,6 +20,9 @@ from agreeloss.hydro import write_csv
 
 from conftest import synthetic_series
 
+# A warning that leaks from any invocation fails the run.
+pytestmark = pytest.mark.filterwarnings("error")
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 PAIRS = [(0.5, 1.0), (2.25, 1.75), (-1.0, 0.5), (3.5, 4.0), (1.0, -0.25), (2.0, 2.5)]
