@@ -393,7 +393,7 @@ def cmd_profile(args) -> Output:
     else:
         profile = lnr2_constant_profile
         fit = fit_constant_lnr2(y)
-    grid = [float(theta) for theta in np.linspace(args.theta_min, args.theta_max, args.steps)]
+    grid = np.linspace(args.theta_min, args.theta_max, args.steps).tolist()
     points = [(theta, profile(theta, y), "") for theta in grid]
     points.append((fit.theta_minus, profile(fit.theta_minus, y), "minimum"))
     points.append((fit.theta_plus, profile(fit.theta_plus, y), "minimum"))

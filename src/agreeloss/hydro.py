@@ -244,7 +244,7 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _params_from_point(point: np.ndarray) -> BucketParams:
+def _params_from_point(point) -> BucketParams:
     u_cap = min(_U_CAP_LIMIT, max(-_U_CAP_LIMIT, float(point[0])))
     return BucketParams(
         capacity=math.exp(u_cap),
@@ -253,10 +253,8 @@ def _params_from_point(point: np.ndarray) -> BucketParams:
     )
 
 
-def _point_from_params(params: BucketParams) -> np.ndarray:
-    return np.array(
-        [math.log(params.capacity), _logit(params.recession), _logit(params.split)]
-    )
+def _point_from_params(params: BucketParams) -> tuple[float, float, float]:
+    return math.log(params.capacity), _logit(params.recession), _logit(params.split)
 
 
 # Two default warm starts spanning slow and flashy store behavior.
