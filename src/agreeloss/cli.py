@@ -308,6 +308,9 @@ def cmd_metrics(args) -> Output:
     )
 
 
+# Moments that overflow are rejected by name (estimators._moments); numpy's
+# overflow warnings would only repeat that on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_fit_constant(args) -> Output:
     (y,) = read_csv(args.input, ("y",))
     fit = fit_constant_lw(y) if args.loss == "lw" else fit_constant_lnr2(y)
@@ -377,6 +380,7 @@ def cmd_fit_linear(args) -> Output:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_profile(args) -> Output:
     (y,) = read_csv(args.input, ("y",))
     if args.steps < 2:

@@ -272,11 +272,9 @@ def _moments(y) -> tuple[float, float, float]:
     arr = as_vector(y)
     if _constant(arr):
         raise UndefinedValueError("observations must be non-constant")
-    # An overflow is rejected by name below; numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = _mean(arr)
-        var = _variance(arr, mu)
-        md = _mad(arr, mu)
+    mu = _mean(arr)
+    var = _variance(arr, mu)
+    md = _mad(arr, mu)
     sd = math.sqrt(var)
     if not all(map(math.isfinite, (mu, var, md, mu + sd, mu - sd))):
         raise InvalidInputError(

@@ -25,7 +25,6 @@ from agreeloss.estimators import (
     lw_constant_second_derivative,
     minimize,
 )
-from agreeloss.hydro import calibrate
 from agreeloss.exceptions import (
     ConvergenceError,
     DegenerateFitWarning,
@@ -34,6 +33,7 @@ from agreeloss.exceptions import (
     SingularDesignError,
     UndefinedValueError,
 )
+from agreeloss.hydro import calibrate
 from agreeloss.losses import SeriesPair, _l_w, l_nr2, l_w, mse, nse
 from agreeloss.simulate import Gaussian, Rng, sample
 from agreeloss.vector_stats import mad, mean, pearson, sign, std
