@@ -217,16 +217,16 @@ def minimize(objective, starts, config: MinimizerConfig | None = None) -> Minimi
     """
     cfg = config if config is not None else MinimizerConfig()
     try:
-        points = np.asarray(starts, dtype=float)
+        start_points = np.asarray(starts, dtype=float)
     except (TypeError, ValueError):
-        points = None
-    if points is None or points.ndim != 2 or points.size == 0:
+        start_points = None
+    if start_points is None or start_points.ndim != 2 or start_points.size == 0:
         raise InvalidInputError("starts must be a non-empty sequence of equal-length points")
-    if not np.isfinite(points).all():
+    if not np.isfinite(start_points).all():
         raise InvalidInputError("start points must be finite")
 
     results = []
-    for x0 in points.tolist():
+    for x0 in start_points.tolist():
         best_x, best_f = x0, _eval(objective, x0)
         if not math.isfinite(best_f):
             raise InvalidInputError("objective is not finite at the start point")
