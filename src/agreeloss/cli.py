@@ -47,25 +47,10 @@ from .exceptions import (
     UndefinedValueError,
 )
 from .hydro import CALIBRATION_LOSSES, load_csv, read_csv, run_calibration
-from .losses import (
-    MetricEntry,
-    MetricReport,
-    NEGATIVELY_ORIENTED,
-    POSITIVELY_ORIENTED,
-    SeriesPair,
-    is_agreement_metric,
-    l_kbb,
-    l_lmc_mean,
-    l_lmc_median,
-    l_nr2,
-    l_nrp,
-    l_w,
-    mae,
-    mse,
-    nse,
-    v_mean_avg,
-    v_median_avg,
-)
+from .losses import POSITIVELY_ORIENTED, SeriesPair, resolve_metrics, score
+# Every metric is scored through losses.score.  These names stay bound
+# because perfbench's tracer wraps them here.
+from .losses import l_kbb, l_lmc_mean, l_lmc_median, l_nrp  # noqa: F401
 from .simulate import Gaussian, Rng, run_climatology_experiment, run_linear_experiment
 
 PROG = "agreeloss"
@@ -87,9 +72,14 @@ MAX_RESTARTS = 100
 
 @dataclass
 class Table:
+    """One output table; each row picks the columns from one record."""
+
     name: str
     columns: list[str]
-    rows: list[list]
+    records: list[dict]
+
+    def rows(self) -> list[list]:
+        return [[record[c] for c in self.columns] for record in self.records]
 
 
 @dataclass
@@ -228,72 +218,23 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-_SIMPLE_METRICS = {
-    "mae": (mae, NEGATIVELY_ORIENTED),
-    "mse": (mse, NEGATIVELY_ORIENTED),
-    "nse": (nse, POSITIVELY_ORIENTED),
-    "one_minus_nse": (lambda pair: 1.0 - nse(pair), NEGATIVELY_ORIENTED),
-    "lw": (l_w, NEGATIVELY_ORIENTED),
-    "lnr2": (l_nr2, NEGATIVELY_ORIENTED),
-    "vbar_mean": (v_mean_avg, NEGATIVELY_ORIENTED),
-    "vbar_median": (v_median_avg, NEGATIVELY_ORIENTED),
-}
-
-
-def _resolve_metric(spec: str):
-    """Map a metric spec string to (callable, orientation)."""
-    base, _, param = spec.partition(":")
-    if base in _SIMPLE_METRICS:
-        if param:
-            raise InvalidInputError(f"metric {base!r} takes no parameter")
-        return _SIMPLE_METRICS[base]
-    if base == "lmc":
-        if param == "f=mean":
-            return l_lmc_mean, NEGATIVELY_ORIENTED
-        if param == "f=median":
-            return l_lmc_median, NEGATIVELY_ORIENTED
-        raise InvalidInputError(f"metric lmc requires f=mean or f=median, got {spec!r}")
-    if base in ("kbb", "nrp"):
-        if not param.startswith("p="):
-            raise InvalidInputError(f"metric {base} requires p=<value>, got {spec!r}")
-        try:
-            p = float(param[2:])
-        except ValueError:
-            raise InvalidInputError(f"invalid exponent in {spec!r}") from None
-        fn = l_kbb if base == "kbb" else l_nrp
-        return (lambda pair, _p=p, _fn=fn: _fn(pair, _p)), NEGATIVELY_ORIENTED
-    raise InvalidInputError(f"unknown metric {spec!r}")
-
-
 def cmd_metrics(args) -> Output:
     z, y = read_csv(args.input, ("z", "y"))
     pair = SeriesPair(z, y)
     specs = [s.strip() for s in args.metrics.split(",") if s.strip()]
     if not specs:
         raise InvalidInputError("no metrics requested")
-    entries = []
-    for spec in specs:
-        fn, orientation = _resolve_metric(spec)
-        # An overflowing metric is rejected by name in MetricReport below;
-        # numpy's overflow warning would only repeat that on stderr.
+    records = []
+    # One spec at a time, so that an undefined metric is reported as such.
+    for spec, metric in resolve_metrics(specs).items():
         try:
-            with np.errstate(over="ignore"):
-                value = fn(pair)
+            value = score(pair, [spec])[spec]
         except UndefinedValueError:
             value = None
-        if args.as_index and value is not None and is_agreement_metric(spec):
-            value = 1.0 - value
-            orientation = POSITIVELY_ORIENTED
-        entries.append(MetricEntry(spec, value, orientation))
-    report = MetricReport(tuple(entries))
-    rows = [[e.name, e.value, e.orientation] for e in report.entries]
-    result = {
-        "n": pair.n,
-        "metrics": [
-            {"name": e.name, "value": e.value, "orientation": e.orientation}
-            for e in report.entries
-        ],
-    }
+        orientation = metric.orientation
+        if args.as_index and value is not None and metric.agreement:
+            value, orientation = 1.0 - value, POSITIVELY_ORIENTED
+        records.append({"name": spec, "value": value, "orientation": orientation})
     return Output(
         command="metrics",
         options={
@@ -302,15 +243,18 @@ def cmd_metrics(args) -> Output:
             "as_index": bool(args.as_index),
         },
         inputs={args.input: _digest(args.input)},
-        result=result,
-        tables=[Table("metrics", ["metric", "value", "orientation"], rows)],
-        exit_code=EXIT_UNDEFINED if report.has_undefined() else EXIT_OK,
+        result={"n": pair.n, "metrics": records},
+        tables=[
+            Table(
+                "metrics",
+                ["metric", "value", "orientation"],
+                [dict(r, metric=r["name"]) for r in records],
+            )
+        ],
+        exit_code=EXIT_UNDEFINED if any(r["value"] is None for r in records) else EXIT_OK,
     )
 
 
-# Moments that overflow are rejected by name (estimators._moments); numpy's
-# overflow warnings would only repeat that on stderr.
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_fit_constant(args) -> Output:
     (y,) = read_csv(args.input, ("y",))
     fit = fit_constant_lw(y) if args.loss == "lw" else fit_constant_lnr2(y)
@@ -321,19 +265,15 @@ def cmd_fit_constant(args) -> Output:
         "min_loss": fit.min_loss,
         "n": int(y.size),
     }
-    rows = [[fit.loss_name, fit.theta_plus, fit.theta_minus, fit.min_loss]]
     return Output(
         command="fit-constant",
         options={"loss": args.loss, "input": args.input},
         inputs={args.input: _digest(args.input)},
         result=result,
-        tables=[Table("fit", ["loss", "theta_plus", "theta_minus", "min_loss"], rows)],
+        tables=[Table("fit", ["loss", "theta_plus", "theta_minus", "min_loss"], [result])],
     )
 
 
-# A fit, prediction or test score that overflows is rejected by name;
-# numpy's overflow warnings would only repeat that on stderr.
-@np.errstate(over="ignore")
 def cmd_fit_linear(args) -> Output:
     x, y = read_csv(args.train, ("x", "y"))
     if args.loss == "se":
@@ -354,23 +294,15 @@ def cmd_fit_linear(args) -> Output:
     inputs = {args.train: _digest(args.train)}
     tables = [
         Table(
-            "fit",
-            ["loss", "slope", "intercept", "achieved_loss", "method", "degenerate"],
-            [[args.loss, fit.slope, fit.intercept, fit.achieved_loss, fit.method, fit.degenerate]],
+            "fit", ["loss", "slope", "intercept", "achieved_loss", "method", "degenerate"], [result]
         )
     ]
     if args.test is not None:
         x_test, y_test = read_csv(args.test, ("x", "y"))
-        pair = SeriesPair(fit.predict(x_test), y_test)
-        entries = []
-        for name in ("mse", "lnr2", "lw", "vbar_mean"):
-            fn, orientation = _SIMPLE_METRICS[name]
-            entries.append(MetricEntry(name, fn(pair), orientation))
-        # MetricReport rejects a score that overflowed, naming the metric.
-        test_metrics = {e.name: e.value for e in MetricReport(tuple(entries)).entries}
-        result["test"] = dict(test_metrics, n=int(x_test.size))
+        scores = score(SeriesPair(fit.predict(x_test), y_test), ("mse", "lnr2", "lw", "vbar_mean"))
+        result["test"] = dict(scores, n=int(x_test.size))
         inputs[args.test] = _digest(args.test)
-        tables.append(Table("test", list(test_metrics), [list(test_metrics.values())]))
+        tables.append(Table("test", list(scores), [scores]))
     return Output(
         command="fit-linear",
         options={"loss": args.loss, "train": args.train, "test": args.test},
@@ -380,7 +312,6 @@ def cmd_fit_linear(args) -> Output:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_profile(args) -> Output:
     (y,) = read_csv(args.input, ("y",))
     if args.steps < 2:
@@ -423,7 +354,7 @@ def cmd_profile(args) -> Output:
         },
         inputs={args.input: _digest(args.input)},
         result=result,
-        tables=[Table("profile", ["theta", "loss", "annotation"], [list(p) for p in points])],
+        tables=[Table("profile", ["theta", "loss", "annotation"], result["rows"])],
     )
 
 
@@ -433,9 +364,6 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
-# Values that overflow are rejected by name (simulate.py); numpy's
-# overflow warnings would only repeat that on stderr.
-@np.errstate(over="ignore")
 def cmd_experiment(args) -> Output:
     defaults = _EXPERIMENT_DEFAULTS[args.kind]
     n_total = args.n_total if args.n_total is not None else defaults["n_total"]
@@ -453,13 +381,7 @@ def cmd_experiment(args) -> Output:
             n_total, split, Gaussian(args.mu, args.sigma), Rng(args.seed, args.stream_id)
         )
         result = report.to_dict()
-        tables = [
-            Table(
-                "models",
-                list(report.columns),
-                [[row[c] for c in report.columns] for row in report.models],
-            )
-        ]
+        tables = [Table("models", list(report.columns), list(report.models))]
     else:
         slopes = args.a1 if args.a1 else [0.6, 6.0, 20.0]
         options.update(a1=slopes)
@@ -470,12 +392,8 @@ def cmd_experiment(args) -> Output:
             for a1 in slopes
         ]
         result = {"blocks": [r.to_dict() for r in reports]}
-        columns = ["a1"] + list(reports[0].columns)
-        rows = []
-        for a1, report in zip(slopes, reports):
-            for row in report.models:
-                rows.append([a1] + [row[c] for c in report.columns])
-        tables = [Table("models", columns, rows)]
+        rows = [dict(row, a1=a1) for a1, report in zip(slopes, reports) for row in report.models]
+        tables = [Table("models", ["a1", *reports[0].columns], rows)]
     return Output(
         command="experiment",
         options=options,
@@ -494,16 +412,10 @@ def cmd_calibrate(args) -> Output:
     config = MinimizerConfig(max_iterations=args.max_iterations, restarts=args.restarts)
     report = run_calibration(series, args.warmup_days, args.cal, args.val, losses, config)
     result = report.to_dict()
-    cal_rows, val_rows, vbar_rows = [], [], []
-    for row in report.rows:
-        p = row.params
-        cal = row.metrics["calibration"]
-        val = row.metrics["validation"]
-        cal_rows.append(
-            [row.loss_name, p.capacity, p.recession, p.split, cal["mse"], cal["lnr2"], cal["lw"]]
-        )
-        val_rows.append([row.loss_name, val["mse"], val["lnr2"], val["lw"]])
-        vbar_rows.append([row.loss_name, val["vbar_mean"]])
+    cal = [
+        {"loss": r.loss_name, **r.params.to_dict(), **r.metrics["calibration"]} for r in report.rows
+    ]
+    val = [{"loss": r.loss_name, **r.metrics["validation"]} for r in report.rows]
     return Output(
         command="calibrate",
         options={
@@ -518,13 +430,9 @@ def cmd_calibrate(args) -> Output:
         inputs={args.data: _digest(args.data)},
         result=result,
         tables=[
-            Table(
-                "calibration",
-                ["loss", "capacity", "recession", "split", "mse", "lnr2", "lw"],
-                cal_rows,
-            ),
-            Table("validation", ["loss", "mse", "lnr2", "lw"], val_rows),
-            Table("vbar_mean", ["loss", "vbar_mean"], vbar_rows),
+            Table("calibration", ["loss", "capacity", "recession", "split", "mse", "lnr2", "lw"], cal),
+            Table("validation", ["loss", "mse", "lnr2", "lw"], val),
+            Table("vbar_mean", ["loss", "vbar_mean"], val),
         ],
     )
 
@@ -577,7 +485,7 @@ def render(output: Output, fmt: str) -> str:
             if len(output.tables) > 1:
                 buf.write(f"# table={table.name}\n")
             buf.write(",".join(table.columns) + "\n")
-            for row in table.rows:
+            for row in table.rows():
                 buf.write(",".join(_cell(v, repr) for v in row) + "\n")
         return buf.getvalue()
     # Plain-text tables.
@@ -586,7 +494,7 @@ def render(output: Output, fmt: str) -> str:
         buf.write(f"{key}: {_cell(value, _table_float)}\n")
     for table in output.tables:
         buf.write(f"\n[{table.name}]\n")
-        cells = [[_cell(v, _table_float) for v in row] for row in table.rows]
+        cells = [[_cell(v, _table_float) for v in row] for row in table.rows()]
         widths = [
             max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
             for i, col in enumerate(table.columns)
@@ -629,7 +537,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always", DegenerateFitWarning)
             warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
-            output = args.handler(args)
+            # Values that overflow are rejected by name; numpy's warnings
+            # would only repeat that on stderr.
+            with np.errstate(over="ignore", invalid="ignore"):
+                output = args.handler(args)
         sys.stdout.write(render(output, fmt))
         return output.exit_code
     except UndefinedValueError as exc:

@@ -18,7 +18,9 @@ Scalar profiles of both losses along constant predictions, together with
 their first and second derivatives, are exposed for plotting and for
 verifying the fits against finite differences.  Both profiles have a kink
 at ``theta = mean(y)``; derivative calls there raise
-:class:`NonDifferentiablePointError` carrying the one-sided limits.
+:class:`NonDifferentiablePointError` carrying the one-sided limits.  A
+profile or derivative is NaN, not a spurious 0, where its denominator
+overflows.
 """
 
 from __future__ import annotations
@@ -291,7 +293,9 @@ def fit_constant_lw(y) -> ConstantFitResult:
     Minimizers are ``mean(y) +/- std(y)``; the minimum equals
     ``std/(std + mad)``.
     """
-    mu, sd, md = _moments(y)
+    # _moments names an overflowing moment; numpy's warning would repeat it.
+    with np.errstate(over="ignore"):
+        mu, sd, md = _moments(y)
     return ConstantFitResult(
         theta_plus=mu + sd,
         theta_minus=mu - sd,
@@ -302,7 +306,8 @@ def fit_constant_lw(y) -> ConstantFitResult:
 
 def fit_constant_lnr2(y) -> ConstantFitResult:
     """Constant fit under the norm-ratio loss; the minimum is exactly 1/2."""
-    mu, sd, _ = _moments(y)
+    with np.errstate(over="ignore"):
+        mu, sd, _ = _moments(y)
     return ConstantFitResult(
         theta_plus=mu + sd,
         theta_minus=mu - sd,
@@ -353,8 +358,8 @@ def lw_constant_derivative(theta: float, y) -> float:
             right_limit=-limit,
         )
     num = 2.0 * md * (u * u - sd * sd) * sign(u)
-    den = (u * u + sd * sd + 2.0 * abs(u) * md) ** 2
-    return num / den
+    den = _power(u * u + sd * sd + 2.0 * abs(u) * md, 2)
+    return math.nan if den == math.inf else num / den
 
 
 def lw_constant_second_derivative(theta: float, y) -> float:
@@ -370,8 +375,8 @@ def lw_constant_second_derivative(theta: float, y) -> float:
         )
     sd2 = sd * sd
     num = 4.0 * md * (2.0 * md * sd2 + u * (3.0 * sd2 - u * u) * sign(u))
-    den = (u * u + sd2 + 2.0 * abs(u) * md) ** 3
-    return num / den
+    den = _power(u * u + sd2 + 2.0 * abs(u) * md, 3)
+    return math.nan if den == math.inf else num / den
 
 
 def lnr2_constant_derivative(theta: float, y) -> float:
@@ -388,7 +393,8 @@ def lnr2_constant_derivative(theta: float, y) -> float:
             left_limit=2.0 / sd,
             right_limit=-2.0 / sd,
         )
-    return 2.0 * sd * (u - sign(u) * sd) / (sd + abs(u)) ** 3
+    den = _power(sd + abs(u), 3)
+    return math.nan if den == math.inf else 2.0 * sd * (u - sign(u) * sd) / den
 
 
 def lnr2_constant_second_derivative(theta: float, y) -> float:
@@ -405,7 +411,8 @@ def lnr2_constant_second_derivative(theta: float, y) -> float:
             left_limit=limit,
             right_limit=limit,
         )
-    return 4.0 * sd * (2.0 * sd - abs(u)) / (sd + abs(u)) ** 4
+    den = _power(sd + abs(u), 4)
+    return math.nan if den == math.inf else 4.0 * sd * (2.0 * sd - abs(u)) / den
 
 
 def _line_sums(x, y, ols: bool = False):

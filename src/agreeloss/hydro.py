@@ -37,7 +37,7 @@ from .exceptions import (
     InvalidInputError,
     UndefinedValueError,
 )
-from .losses import SeriesPair, _l_nr2, _l_w, _mse, l_nr2, l_w, mse, v_mean_avg
+from .losses import METRICS, SeriesPair, score
 from .vector_stats import _constant
 
 __all__ = [
@@ -59,12 +59,6 @@ CSV_HEADER = ("date", "precip_mm", "pet_mm", "flow_mm")
 LOSS_METRICS = {"se": "mse", "lnr2": "lnr2", "lw": "lw"}
 
 CALIBRATION_LOSSES = tuple(LOSS_METRICS)
-
-_METRIC_FUNCTIONS = {"mse": mse, "lnr2": l_nr2, "lw": l_w, "vbar_mean": v_mean_avg}
-
-# Array kernels of the minimized metrics, for a descent whose observed
-# span was validated once.
-_METRIC_KERNELS = {"mse": _mse, "lnr2": _l_nr2, "lw": _l_w}
 
 # Metrics reported on each span of a calibrated model.
 SPAN_METRICS = {
@@ -340,9 +334,10 @@ def calibrate(
     if loss not in LOSS_METRICS:
         raise InvalidInputError(f"unknown calibration loss {loss!r}")
     cal, val = _resolve_spans(series, warmup_days, cal_span, val_span)
-    kernel = _METRIC_KERNELS[LOSS_METRICS[loss]]
+    kernel = METRICS[LOSS_METRICS[loss]].kernel
     # HydroSeries guarantees finite flows; a non-constant observed span
-    # keeps every agreement loss defined, so the descent skips SeriesPair.
+    # keeps every agreement loss defined, so the descent calls the array
+    # kernel and skips SeriesPair.
     obs_cal = series.flow[cal]
     if loss != "se" and _constant(obs_cal):
         raise UndefinedValueError(
@@ -379,10 +374,7 @@ def calibrate(
     return CalibrationRow(
         loss_name=loss,
         params=fitted,
-        metrics={
-            span: {name: _METRIC_FUNCTIONS[name](pairs[span]) for name in names}
-            for span, names in SPAN_METRICS.items()
-        },
+        metrics={span: score(pairs[span], names) for span, names in SPAN_METRICS.items()},
         converged=best.converged,
     )
 

@@ -6,25 +6,31 @@ observations ``y``.  The agreement family (``l_w``, ``l_nr2``, ``l_lmc``,
 is defined only when ``y`` is non-constant or ``z`` differs from ``y``.
 Calling an agreement loss outside that domain raises
 :class:`UndefinedValueError` instead of returning NaN.
+
+:data:`METRICS` is the one registry of metric names: for each it records
+the function, the orientation, whether values are bounded in ``[0, 1]``
+and the array kernel where the descents have one.  :func:`score` is the
+one path that scores a prediction; it rejects a value that is not finite
+or out of range, naming the metric.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidInputError, UndefinedValueError
-from .vector_stats import _constant, _mean, _ssq, _variance, as_vector, lp_mean
+from .vector_stats import _add, _constant, _mean, _ssq, _variance, as_vector, lp_mean
 
 __all__ = [
-    "MetricEntry",
-    "MetricReport",
+    "METRICS",
+    "Metric",
     "NEGATIVELY_ORIENTED",
     "POSITIVELY_ORIENTED",
     "SeriesPair",
-    "is_agreement_metric",
     "l_kbb",
     "l_lmc",
     "l_lmc_mean",
@@ -35,6 +41,8 @@ __all__ = [
     "mae",
     "mse",
     "nse",
+    "resolve_metrics",
+    "score",
     "skill_score",
     "v_mean_avg",
     "v_median_avg",
@@ -42,10 +50,6 @@ __all__ = [
 
 NEGATIVELY_ORIENTED = "negatively-oriented"
 POSITIVELY_ORIENTED = "positively-oriented"
-
-# Metric names whose values must lie in [0, 1]. Parametrized names such as
-# "kbb:p=2" match on the part before the colon.
-_AGREEMENT_BASES = frozenset({"lw", "lnr2", "lmc", "kbb", "nrp"})
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,9 @@ def _require_agreement_defined(pair: SeriesPair) -> None:
             "predictions equal them"
         )
 
+
+# The reduction behind np.max without its dispatch, as _add is for np.sum.
+_max = np.maximum.reduce
 
 # Distance above 1 within which an agreement value is rounding, not a defect.
 _ONE_SNAP = 1e-12
@@ -147,7 +154,7 @@ def _l_nr2(z: np.ndarray, y: np.ndarray) -> float:
 
 def mae(pair: SeriesPair) -> float:
     """Mean absolute error."""
-    return float(np.mean(np.abs(pair.z - pair.y)))
+    return _mean(np.abs(pair.z - pair.y))
 
 
 def mse(pair: SeriesPair) -> float:
@@ -218,14 +225,14 @@ def l_lmc(pair: SeriesPair, f_of_y: float) -> float:
     f = float(f_of_y)
     if not math.isfinite(f):
         raise InvalidInputError("benchmark value must be finite")
-    num = float(np.sum(np.abs(pair.z - pair.y)))
-    den = float(np.sum(np.abs(pair.z - f)) + np.sum(np.abs(f - pair.y)))
+    num = float(_add(np.abs(pair.z - pair.y)))
+    den = float(_add(np.abs(pair.z - f))) + float(_add(np.abs(f - pair.y)))
     return _bounded_ratio(num, den)
 
 
 def l_lmc_mean(pair: SeriesPair) -> float:
     """:func:`l_lmc` with the observation mean as benchmark."""
-    return l_lmc(pair, float(np.mean(pair.y)))
+    return l_lmc(pair, _mean(pair.y))
 
 
 def l_lmc_median(pair: SeriesPair) -> float:
@@ -249,12 +256,12 @@ def l_kbb(pair: SeriesPair, p) -> float:
     """
     p = _validate_p(p)
     _require_agreement_defined(pair)
-    mu = float(np.mean(pair.y))
+    mu = _mean(pair.y)
     err = np.abs(pair.z - pair.y)
     path = np.abs(pair.z - mu) + np.abs(mu - pair.y)
     if math.isinf(p):
-        return _bounded_ratio(float(np.max(err)), float(np.max(path)))
-    return _bounded_ratio(float(np.sum(err**p)), float(np.sum(path**p)))
+        return _bounded_ratio(float(_max(err)), float(_max(path)))
+    return _bounded_ratio(float(_add(err**p)), float(_add(path**p)))
 
 
 def l_nrp(pair: SeriesPair, p) -> float:
@@ -271,14 +278,14 @@ def l_nrp(pair: SeriesPair, p) -> float:
     dz = np.abs(pair.z - m)
     dy = np.abs(m - pair.y)
     if math.isinf(p):
-        return _bounded_ratio(float(np.max(err)), float(np.max(dz)) + float(np.max(dy)))
-    den = _power(float(np.sum(dz**p)) ** (1.0 / p) + float(np.sum(dy**p)) ** (1.0 / p), p)
-    return _bounded_ratio(float(np.sum(err**p)), den)
+        return _bounded_ratio(float(_max(err)), float(_max(dz)) + float(_max(dy)))
+    den = _power(float(_add(dz**p)) ** (1.0 / p) + float(_add(dy**p)) ** (1.0 / p), p)
+    return _bounded_ratio(float(_add(err**p)), den)
 
 
 def v_mean_avg(pair: SeriesPair) -> float:
     """Mean error ``mean(z - y)``; zero in expectation for mean predictions."""
-    return float(np.mean(pair.z - pair.y))
+    return _mean(pair.z - pair.y)
 
 
 def v_median_avg(pair: SeriesPair) -> float:
@@ -288,53 +295,92 @@ def v_median_avg(pair: SeriesPair) -> float:
     predictions exceed their observations.
     """
     above = (pair.z - pair.y) >= 0.0
-    return float(np.mean(above.astype(float) - 0.5))
-
-
-def is_agreement_metric(name: str) -> bool:
-    """True for metric names whose values must lie in [0, 1]."""
-    return name.split(":", 1)[0] in _AGREEMENT_BASES
+    return _mean(above.astype(float) - 0.5)
 
 
 @dataclass(frozen=True)
-class MetricEntry:
-    """One named metric value; ``value`` is None for undefined requests."""
+class Metric:
+    """A registered metric.
 
-    name: str
-    value: float | None
-    orientation: str
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Ordered metric values with orientation tags.
-
-    Rejects duplicate metric names, non-finite values and agreement values
-    outside [0, 1]; an agreement value within rounding of 1 is snapped
-    onto it, as the losses themselves do.
+    ``fn`` scores a :class:`SeriesPair`; ``agreement`` marks values bounded
+    in ``[0, 1]``; ``kernel``, where there is one, is the same loss on
+    validated, equal-length float vectors.
     """
 
-    entries: tuple[MetricEntry, ...]
+    fn: Callable[[SeriesPair], float]
+    orientation: str = NEGATIVELY_ORIENTED
+    agreement: bool = False
+    kernel: Callable[[np.ndarray, np.ndarray], float] | None = None
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        names = [e.name for e in entries]
-        if len(set(names)) != len(names):
-            raise InvalidInputError("duplicate metric names in report")
-        cleaned = []
-        for e in entries:
-            value = e.value
-            if value is not None:
-                if not math.isfinite(value):
-                    raise InvalidInputError(f"metric {e.name} is not finite: {value}")
-                if is_agreement_metric(e.name):
-                    value = _snap_to_one(value)
-                    if not 0.0 <= value <= 1.0:
-                        raise InvalidInputError(
-                            f"agreement metric {e.name} out of [0, 1]: {value}"
-                        )
-            cleaned.append(MetricEntry(e.name, value, e.orientation))
-        object.__setattr__(self, "entries", tuple(cleaned))
 
-    def has_undefined(self) -> bool:
-        return any(e.value is None for e in self.entries)
+METRICS = {
+    "mae": Metric(mae),
+    "mse": Metric(mse, kernel=_mse),
+    "nse": Metric(nse, POSITIVELY_ORIENTED),
+    "one_minus_nse": Metric(lambda pair: 1.0 - nse(pair)),
+    "lw": Metric(l_w, agreement=True, kernel=_l_w),
+    "lnr2": Metric(l_nr2, agreement=True, kernel=_l_nr2),
+    "vbar_mean": Metric(v_mean_avg),
+    "vbar_median": Metric(v_median_avg),
+    "lmc:f=mean": Metric(l_lmc_mean, agreement=True),
+    "lmc:f=median": Metric(l_lmc_median, agreement=True),
+}
+
+# Agreement losses named with an exponent, as in "kbb:p=<value>".
+_LP_METRICS = {"kbb": l_kbb, "nrp": l_nrp}
+
+
+def _metric(spec: str) -> Metric:
+    base, _, param = spec.partition(":")
+    if base in METRICS:
+        if param:
+            raise InvalidInputError(f"metric {base!r} takes no parameter")
+        return METRICS[base]
+    if spec in METRICS:
+        return METRICS[spec]
+    if base == "lmc":
+        raise InvalidInputError(f"metric lmc requires f=mean or f=median, got {spec!r}")
+    if base not in _LP_METRICS:
+        raise InvalidInputError(f"unknown metric {spec!r}")
+    if not param.startswith("p="):
+        raise InvalidInputError(f"metric {base} requires p=<value>, got {spec!r}")
+    try:
+        p = float(param[2:])
+    except ValueError:
+        raise InvalidInputError(f"invalid exponent in {spec!r}") from None
+    fn = _LP_METRICS[base]
+    return Metric(lambda pair: fn(pair, p), agreement=True)
+
+
+def resolve_metrics(names) -> dict[str, Metric]:
+    """Registry entries of metric names, in order.
+
+    Besides the names in :data:`METRICS`, ``kbb:p=<v>`` and ``nrp:p=<v>``
+    resolve to :func:`l_kbb` and :func:`l_nrp` at exponent ``v``.  Rejects a
+    repeated or unknown name.
+    """
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise InvalidInputError(f"metric names repeat: {', '.join(names)}")
+    return {name: _metric(name) for name in names}
+
+
+def score(pair: SeriesPair, names) -> dict[str, float]:
+    """Values of the named metrics on *pair*, as ``{name: value}``.
+
+    Rejects a value that is not finite, and an agreement value outside
+    ``[0, 1]``, naming the metric; an agreement value within rounding above
+    1 is snapped onto it.  An undefined metric raises its own
+    :class:`UndefinedValueError`.
+    """
+    values = {}
+    for name, metric in resolve_metrics(names).items():
+        value = metric.fn(pair)
+        if not math.isfinite(value):
+            raise InvalidInputError(f"metric {name} is not finite: {value}")
+        if metric.agreement:
+            value = _snap_to_one(value)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidInputError(f"agreement metric {name} out of [0, 1]: {value}")
+        values[name] = value
+    return values

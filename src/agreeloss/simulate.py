@@ -39,7 +39,7 @@ import numpy as np
 
 from .estimators import fit_linear_lnr2, fit_linear_lw, fit_linear_ols
 from .exceptions import InvalidInputError, UndefinedValueError
-from .losses import SeriesPair, l_nr2, l_w, mse, nse, v_mean_avg
+from .losses import SeriesPair, score
 from .vector_stats import mean, pearson, std
 
 __all__ = [
@@ -225,10 +225,6 @@ class ExperimentReport:
             missing = [c for c in self.columns if c not in row]
             if missing:
                 raise InvalidInputError(f"model row is missing columns {missing}")
-            for column in self.columns:
-                value = row[column]
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise InvalidInputError(f"{row['model']} {column} overflows: {value}")
 
     def row(self, name: str) -> dict:
         for row in self.models:
@@ -255,7 +251,8 @@ def _split_counts(n_total: int, split: int) -> None:
         raise InvalidInputError("split must satisfy 1 <= split < n_total")
 
 
-_CLIMATOLOGY_COLUMNS = ("model", "constant", "mse", "one_minus_nse", "lnr2", "lw", "vbar_mean")
+_CLIMATOLOGY_SCORES = ("mse", "one_minus_nse", "lnr2", "lw", "vbar_mean")
+_CLIMATOLOGY_COLUMNS = ("model", "constant", *_CLIMATOLOGY_SCORES)
 
 
 def run_climatology_experiment(
@@ -286,21 +283,12 @@ def run_climatology_experiment(
     for name, label, constant in models:
         pair = SeriesPair(np.full(test.size, constant), test)
         try:
-            rows.append(
-                {
-                    "model": name,
-                    "constant": constant,
-                    "mse": mse(pair),
-                    "one_minus_nse": 1.0 - nse(pair),
-                    "lnr2": l_nr2(pair),
-                    "lw": l_w(pair),
-                    "vbar_mean": v_mean_avg(pair),
-                    "predictor": label,
-                }
-            )
-        except UndefinedValueError as exc:
-            # A sample whose spread underflows leaves the scores undefined.
-            raise InvalidInputError(f"draws from {spec!r}: {exc}") from None
+            scores = score(pair, _CLIMATOLOGY_SCORES)
+        except (InvalidInputError, UndefinedValueError) as exc:
+            # A sample whose spread underflows or overflows leaves a score
+            # undefined or not finite.
+            raise InvalidInputError(f"{name} on draws from {spec!r}: {exc}") from None
+        rows.append({"model": name, "constant": constant, **scores, "predictor": label})
     metadata = {
         "kind": "climatology",
         "seed": rng.seed,
@@ -318,7 +306,8 @@ def run_climatology_experiment(
     )
 
 
-_LINEAR_COLUMNS = ("model", "slope", "intercept", "method", "mse", "lnr2", "lw", "vbar_mean")
+_LINEAR_SCORES = ("mse", "lnr2", "lw", "vbar_mean")
+_LINEAR_COLUMNS = ("model", "slope", "intercept", "method", *_LINEAR_SCORES)
 
 # Fixed design of the linear experiment: intercept 2.1, gamma predictor
 # with scale 1.8 / shape 0.4, lognormal(0, 2) noise.
@@ -363,16 +352,17 @@ def run_linear_experiment(
     rows = []
     for name, fit in fits:
         pair = SeriesPair(fit.predict(x_test), y_test)
+        try:
+            scores = score(pair, _LINEAR_SCORES)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{name} with a1={a1!r}: {exc}") from None
         rows.append(
             {
                 "model": name,
                 "slope": fit.slope,
                 "intercept": fit.intercept,
                 "method": fit.method,
-                "mse": mse(pair),
-                "lnr2": l_nr2(pair),
-                "lw": l_w(pair),
-                "vbar_mean": v_mean_avg(pair),
+                **scores,
             }
         )
     metadata = {

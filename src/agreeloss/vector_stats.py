@@ -170,7 +170,7 @@ def lp_mean(y, p) -> float:
 
     def grad(theta: float) -> float:
         d = theta - arr
-        return float(np.sum(np.copysign(np.abs(d) ** expo, d)))
+        return float(_add(np.copysign(np.abs(d) ** expo, d)))
 
     g_lo = grad(lo)
     g_hi = grad(hi)

@@ -502,7 +502,7 @@ class TestExperiment:
             ),
             (
                 ("climatology", "--sigma", "4e152"),
-                "model_2 lnr2 overflows: nan",
+                "model_2 on draws from Gaussian(mu=0.0, sigma=4e+152): metric lnr2 is not finite: nan",
             ),
             (
                 ("linear", "--a1", "1e300", "--n-total", "200", "--split", "100"),

@@ -149,6 +149,12 @@ class TestConstantFits:
             assert fit.min_loss == 0.5
             assert abs((fit.theta_plus - fit.theta_minus) - 2.0 * std(y)) <= 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fit", [fit_constant_lw, fit_constant_lnr2])
+    def test_overflowing_moments_named_without_numpy_warnings(self, fit):
+        with pytest.raises(InvalidInputError, match="moments of the observations overflow"):
+            fit([1e200, -1e200, 0.0])
+
     def test_constant_input_undefined(self):
         with pytest.raises(UndefinedValueError):
             fit_constant_lw(np.array([5.0, 5.0]))
@@ -264,6 +270,21 @@ class TestDerivatives:
             expected_lw = md / (sd * (sd + md) ** 2)
             got_lw = lw_constant_second_derivative(mu - sd, y)
             assert abs(got_lw - expected_lw) <= 1e-10 * (1.0 + expected_lw)
+
+    @pytest.mark.parametrize(
+        "fn, theta",
+        [
+            (lw_constant_derivative, 1e100),
+            (lw_constant_second_derivative, 1e100),
+            (lnr2_constant_derivative, 1e103),
+            (lnr2_constant_second_derivative, 1e100),
+        ],
+    )
+    def test_overflowing_denominator_is_nan(self, fn, theta):
+        # Python's float power raises OverflowError here; the profiles read NaN.
+        y = [0.0, 1.0, 2.0]
+        assert math.isnan(fn(theta, y)) and math.isnan(fn(-theta, y))
+        assert fn(theta / 1e60, y) != 0.0
 
     def test_second_derivative_matches_first_derivative_slope(self):
         rng = np.random.default_rng(50)

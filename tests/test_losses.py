@@ -1,5 +1,6 @@
 """Loss functions: worked examples, definedness guards, bounds, identities."""
 
+import dataclasses
 import math
 import struct
 
@@ -14,12 +15,11 @@ from agreeloss.exceptions import (
     UndefinedValueError,
 )
 from agreeloss.losses import (
-    MetricEntry,
-    MetricReport,
-    NEGATIVELY_ORIENTED,
+    METRICS,
     SeriesPair,
     l_kbb,
     l_lmc,
+    l_lmc_mean,
     l_lmc_median,
     l_nr2,
     l_nrp,
@@ -27,11 +27,12 @@ from agreeloss.losses import (
     mae,
     mse,
     nse,
+    score,
     skill_score,
     v_mean_avg,
     v_median_avg,
 )
-from agreeloss.vector_stats import lp_mean, variance
+from agreeloss.vector_stats import LP_MEAN_TOLERANCE, lp_mean, variance
 
 
 def pair(z, y) -> SeriesPair:
@@ -356,6 +357,105 @@ class TestKernels:
         assert math.isnan(l_nr2(pair([9e153, -8.9e153], [9e153, -9e153])))
 
 
+def dispatch_lp_mean(y, p):
+    """Reference: lp_mean with its gradient summed by np.sum."""
+    if p == 1.0:
+        return float(np.median(y))
+    if p == 2.0:
+        return float(np.mean(y))
+    lo, hi = float(np.min(y)), float(np.max(y))
+    if lo == hi:
+        return lo
+    if math.isinf(p):
+        return 0.5 * (lo + hi)
+
+    def grad(theta):
+        d = theta - y
+        return float(np.sum(np.copysign(np.abs(d) ** (p - 1.0), d)))
+
+    g_lo, g_hi = grad(lo), grad(hi)
+    if g_lo >= 0.0:
+        return lo
+    if g_hi <= 0.0:
+        return hi
+    side = 0
+    for _ in range(200):
+        if hi - lo <= LP_MEAN_TOLERANCE:
+            break
+        mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        g_mid = grad(mid)
+        if g_mid > 0.0:
+            hi, g_hi = mid, g_mid
+            if side == 1:
+                g_lo *= 0.5
+            side = 1
+        elif g_mid < 0.0:
+            lo, g_lo = mid, g_mid
+            if side == -1:
+                g_hi *= 0.5
+            side = -1
+        else:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+def dispatch_l_kbb(z, y, p):
+    """Reference: the L_p losses written with np.mean, np.sum and np.max."""
+    mu = float(np.mean(y))
+    err = np.abs(z - y)
+    path = np.abs(z - mu) + np.abs(mu - y)
+    if math.isinf(p):
+        return _snapped_ratio(float(np.max(err)), float(np.max(path)))
+    return _snapped_ratio(float(np.sum(err**p)), float(np.sum(path**p)))
+
+
+def dispatch_l_nrp(z, y, p):
+    m = dispatch_lp_mean(y, p)
+    err, dz, dy = np.abs(z - y), np.abs(z - m), np.abs(m - y)
+    if math.isinf(p):
+        return _snapped_ratio(float(np.max(err)), float(np.max(dz)) + float(np.max(dy)))
+    den = (float(np.sum(dz**p)) ** (1.0 / p) + float(np.sum(dy**p)) ** (1.0 / p)) ** p
+    return _snapped_ratio(float(np.sum(err**p)), den)
+
+
+def dispatch_l_lmc(z, y, f):
+    num = float(np.sum(np.abs(z - y)))
+    return _snapped_ratio(num, float(np.sum(np.abs(z - f)) + np.sum(np.abs(f - y))))
+
+
+class TestLpKernels:
+    def test_same_bits_as_dispatching_formulas(self):
+        rng = np.random.default_rng(41)
+        exponents = (1.0, 1.5, 2.0, 3.0, math.inf)
+        lengths = set()
+        for i in range(1000):
+            n = int(np.exp(rng.uniform(np.log(2), np.log(100_001))))
+            lengths.add(n)
+            loc, scale = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3, 3)
+            y = rng.normal(loc, scale, n)
+            z = y + rng.normal(0.0, scale * rng.uniform(0.01, 3.0), n)
+            if i % 10 == 0:
+                z[: n // 2] = y[: n // 2]
+            p = pair(z, y)
+            e = exponents[i % len(exponents)]
+            checks = (
+                (lp_mean(y, e), dispatch_lp_mean(y, e)),
+                (l_kbb(p, e), dispatch_l_kbb(z, y, e)),
+                (l_nrp(p, e), dispatch_l_nrp(z, y, e)),
+                (l_lmc_mean(p), dispatch_l_lmc(z, y, float(np.mean(y)))),
+                (l_lmc_median(p), dispatch_l_lmc(z, y, float(np.median(y)))),
+                (mae(p), float(np.mean(np.abs(z - y)))),
+                (v_mean_avg(p), float(np.mean(z - y))),
+                (v_median_avg(p), float(np.mean(((z - y) >= 0.0).astype(float) - 0.5))),
+            )
+            for value, reference in checks:
+                assert type(value) is float
+                assert struct.pack("<d", value) == struct.pack("<d", reference)
+        assert min(lengths) < 10 and max(lengths) > 50_000
+
+
 @st.composite
 def _paired_lists(draw):
     n = draw(st.integers(min_value=2, max_value=30))
@@ -381,30 +481,49 @@ def test_agreement_losses_bounded_or_undefined(zy):
 
 
 class TestMetricReport:
+    """``score`` returns the checked metric values of one prediction."""
+
+    @staticmethod
+    def score_value(monkeypatch, name, value):
+        """``score`` of metric *name* when its function returns *value*."""
+        monkeypatch.setitem(METRICS, name, dataclasses.replace(METRICS[name], fn=lambda p: value))
+        return score(pair([0.0, 1.0], [0.0, 2.0]), [name])[name]
+
     def test_rejects_duplicate_names(self):
-        entries = (
-            MetricEntry("mse", 1.0, NEGATIVELY_ORIENTED),
-            MetricEntry("mse", 2.0, NEGATIVELY_ORIENTED),
-        )
-        with pytest.raises(InvalidInputError):
-            MetricReport(entries)
+        with pytest.raises(InvalidInputError, match="repeat"):
+            score(pair([0.0, 1.0], [0.0, 2.0]), ["mse", "mse"])
 
-    def test_rejects_out_of_range_agreement(self):
-        with pytest.raises(InvalidInputError):
-            MetricReport((MetricEntry("lw", 1.5, NEGATIVELY_ORIENTED),))
+    def test_rejects_out_of_range_agreement(self, monkeypatch):
+        with pytest.raises(InvalidInputError, match=r"agreement metric lw out of \[0, 1\]: 1.5"):
+            self.score_value(monkeypatch, "lw", 1.5)
 
-    def test_rejects_non_finite_value(self):
-        with pytest.raises(InvalidInputError, match="mse"):
-            MetricReport((MetricEntry("mse", math.inf, NEGATIVELY_ORIENTED),))
+    def test_rejects_non_finite_value(self, monkeypatch):
+        with pytest.raises(InvalidInputError, match="metric mse is not finite: inf"):
+            self.score_value(monkeypatch, "mse", math.inf)
 
-    def test_rejects_agreement_value_beyond_snap(self):
+    def test_rejects_agreement_value_beyond_snap(self, monkeypatch):
         with pytest.raises(InvalidInputError, match="lw"):
-            MetricReport((MetricEntry("lw", 1.0 + 1e-10, NEGATIVELY_ORIENTED),))
+            self.score_value(monkeypatch, "lw", 1.0 + 1e-10)
 
-    def test_clamps_boundary_rounding(self):
-        report = MetricReport((MetricEntry("lw", 1.0 + 1e-12, NEGATIVELY_ORIENTED),))
-        assert report.entries[0].value == 1.0
+    def test_clamps_boundary_rounding(self, monkeypatch):
+        assert self.score_value(monkeypatch, "lw", 1.0 + 1e-12) == 1.0
 
-    def test_undefined_entries_allowed(self):
-        report = MetricReport((MetricEntry("nse", None, NEGATIVELY_ORIENTED),))
-        assert report.has_undefined()
+    def test_undefined_value_propagates(self):
+        with pytest.raises(UndefinedValueError, match="NSE reference is undefined"):
+            score(pair([1.0, 2.0], [3.0, 3.0]), ["nse"])
+
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("mae:p=2", "metric 'mae' takes no parameter"),
+        ("lmc:f=mode", "metric lmc requires f=mean or f=median"),
+        ("kbb", "metric kbb requires p=<value>"),
+        ("nrp:p=x", "invalid exponent in 'nrp:p=x'"),
+        ("rmse", "unknown metric 'rmse'"),
+    ],
+)
+def test_malformed_metric_spec_named(spec, message):
+    with pytest.raises(InvalidInputError, match=message):
+        score(pair([0.0, 1.0], [0.0, 2.0]), ["mse", spec])

@@ -1,7 +1,10 @@
-"""Every name a module exports through ``__all__`` resolves."""
+"""Every name a module exports through ``__all__`` resolves, and every name
+the benchmark's tracer wraps is bound."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +29,23 @@ def test_star_import_resolves_every_name(module):
     exported = importlib.import_module(f"agreeloss.{module}").__all__
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if name not in namespace] == []
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """perfbench's tracer wraps names in six modules and needs each one bound."""
+    from agreeloss import cli, estimators, hydro, losses, simulate, vector_stats
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"cli": cli, "hydro": hydro, "estimators": estimators, "simulate": simulate,
+               "losses": losses, "vector_stats": vector_stats}
+    render, l_nrp = cli.render, cli.l_nrp
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+    finally:
+        tracer.uninstall()
+    assert cli.render is render and cli.l_nrp is l_nrp
